@@ -34,7 +34,6 @@ from .hierarchy import (
     parse_hierarchy,
     pe_distance,
     shared_level,
-    subproblem_alpha,
 )
 from .metrics import (
     ProfilePoint,
@@ -51,19 +50,15 @@ from .partitioner import (
     RunConfig,
     RunCounters,
     multipass_reference,
-    neighbor_counts_for_children,
     partition_flat,
     partition_oms,
-    partition_parallel,
     prepare_tree,
 )
 from .scoring import (
     GAMMA,
     ScorerConfig,
     SubproblemView,
-    fennel_score,
     hashing_assign,
-    ldg_score,
     select_block,
 )
 

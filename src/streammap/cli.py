@@ -31,7 +31,7 @@ from .graph_stream import (
     peek_header,
     write_metis,
 )
-from .hierarchy import parse_distances, parse_hierarchy
+from .hierarchy import HierarchySpec, parse_distances, parse_hierarchy
 from .metrics import (
     aggregate,
     evaluate,
@@ -45,7 +45,6 @@ from .partitioner import (
     RunConfig,
     partition_flat,
     partition_oms,
-    partition_parallel,
     prepare_tree,
 )
 
@@ -59,7 +58,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="graph file (METIS adjacency)")
     p.add_argument("--eps", type=float, default=0.03, help="allowed imbalance (default 0.03)")
     p.add_argument("--seed", type=int, default=0, help="hashing seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p.add_argument("--preload", action="store_true", help="read the graph into memory first")
     p.add_argument("--output", help="partition file to write (one PE id per line)")
     p.add_argument("--report", help="JSON report file to write")
@@ -83,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(part)
     part.add_argument("--algorithm", default="fennel", choices=["fennel", "ldg", "hashing"])
     part.add_argument("--k", type=int, required=True, help="number of blocks")
-    part.set_defaults(func=cmd_partition)
+    part.set_defaults(func=cmd_run, hierarchy=None, distances=None, base=None, hybrid_h=None)
 
     mp = sub.add_parser("map", help="multi-section along an explicit hierarchy")
     _add_common_run_flags(mp)
@@ -92,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--distances", help="per-level distances, e.g. 1:10:100")
     mp.add_argument("--hybrid-h", type=int, dest="hybrid_h",
                     help="score only the top h levels, hash the rest")
-    mp.set_defaults(func=cmd_map)
+    mp.set_defaults(func=cmd_run, k=None, base=None)
 
     nh = sub.add_parser("nh", help="multi-section over a synthesized tree")
     _add_common_run_flags(nh)
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     nh.add_argument("--base", type=int, default=4, help="tree branching base (default 4)")
     nh.add_argument("--hybrid-h", type=int, dest="hybrid_h",
                     help="score only the top h levels, hash the rest")
-    nh.set_defaults(func=cmd_nh)
+    nh.set_defaults(func=cmd_run, hierarchy=None, distances=None)
 
     ev = sub.add_parser("eval", help="score an existing partition file")
     ev.add_argument("--input", required=True, help="graph file")
@@ -124,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--eps", type=float, default=None)
     bench.add_argument("--reps", type=int, default=None, help="repetitions per pair (default 10)")
     bench.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    bench.add_argument("--threads", type=int, default=None)
     bench.add_argument("--out-csv", dest="out_csv", default=None, help="per-run CSV path")
     bench.add_argument("--profile-csv", dest="profile_csv", default=None)
     bench.add_argument("--summary-json", dest="summary_json", default=None)
@@ -154,13 +151,27 @@ def _write_partition(path: str, result: PartitionResult) -> None:
             out.write(f"{int(pe)}\n")
 
 
-def _read_partition(path: str) -> list[int]:
+def _read_partition(path: str, n: int) -> list[int]:
+    """Labels of a partition file, which must hold exactly ``n`` integer lines."""
     labels = []
+    line_no = 0
     with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            if len(labels) == n:
+                raise StreamFormatError(f"{path}: line {line_no}: more labels than n={n}")
+            try:
                 labels.append(int(line))
+            except ValueError:
+                raise StreamFormatError(
+                    f"{path}: line {line_no}: non-integer label {line!r}"
+                ) from None
+    if len(labels) < n:
+        raise StreamFormatError(
+            f"{path}: file ends at line {line_no} with {len(labels)} labels, expected n={n}"
+        )
     return labels
 
 
@@ -177,7 +188,6 @@ def _emit(args, source, result: PartitionResult, parse_s: float,
         "lmax": result.lmax,
         "seed": args.seed,
         "eps": args.eps,
-        "threads": args.threads,
         "counters": vars(result.counters).copy(),
         "overflow_events": result.counters.overflow_events,
         "timings": {
@@ -225,48 +235,44 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_partition(args) -> int:
-    source, parse_s = _load_input(args)
-    config = RunConfig(algorithm=args.algorithm, eps=args.eps, seed=args.seed,
-                       threads=args.threads)
-    if args.threads > 1 and args.k > 1:
-        tree, _ = prepare_tree(source, hierarchy=parse_hierarchy(str(args.k)),
-                               eps=args.eps)
-        result = partition_parallel(source, tree, config)
+def _partition(source, config: RunConfig, k: int | None = None,
+               hierarchy: HierarchySpec | None = None,
+               base: int | None = None) -> PartitionResult:
+    """Plan and run one partitioning; every subcommand that partitions comes here.
+
+    A ``hierarchy`` selects a descent of its explicit tree, a ``base`` a
+    descent of a synthesized base-b tree for ``k`` blocks; with neither the
+    run is the flat k-way baseline.
+    """
+    if hierarchy is not None:
+        tree, _ = prepare_tree(source, hierarchy=hierarchy, eps=config.eps)
+    elif base is not None:
+        tree, _ = prepare_tree(source, k=k, base=base, eps=config.eps)
     else:
-        result = partition_flat(source, args.k, config)
-    return _emit(args, source, result, parse_s)
+        return partition_flat(source, k, config)
+    return partition_oms(source, tree, config)
 
 
-def cmd_map(args) -> int:
+def cmd_run(args) -> int:
+    """Shared handler of ``partition``, ``map`` and ``nh``."""
     source, parse_s = _load_input(args)
-    spec = parse_hierarchy(args.hierarchy)
+    spec = parse_hierarchy(args.hierarchy) if args.hierarchy is not None else None
     dist = parse_distances(args.distances) if args.distances else None
     config = RunConfig(algorithm=args.algorithm, eps=args.eps, seed=args.seed,
-                       hybrid_h=args.hybrid_h, threads=args.threads)
-    tree, _ = prepare_tree(source, hierarchy=spec, eps=args.eps)
-    if args.threads > 1:
-        result = partition_parallel(source, tree, config)
+                       hybrid_h=args.hybrid_h)
+    result = _partition(source, config, k=args.k, hierarchy=spec, base=args.base)
+    if spec is not None:
+        extra_run = {"hierarchy": args.hierarchy, "distances": args.distances}
+    elif args.base is not None:
+        extra_run = {"base": args.base}
     else:
-        result = partition_oms(source, tree, config)
+        extra_run = None
     return _emit(args, source, result, parse_s, hierarchy=spec, distances=dist,
-                 extra_run={"hierarchy": args.hierarchy, "distances": args.distances})
-
-
-def cmd_nh(args) -> int:
-    source, parse_s = _load_input(args)
-    config = RunConfig(algorithm=args.algorithm, eps=args.eps, seed=args.seed,
-                       hybrid_h=args.hybrid_h, threads=args.threads)
-    tree, _ = prepare_tree(source, k=args.k, base=args.base, eps=args.eps)
-    if args.threads > 1:
-        result = partition_parallel(source, tree, config)
-    else:
-        result = partition_oms(source, tree, config)
-    return _emit(args, source, result, parse_s, extra_run={"base": args.base})
+                 extra_run=extra_run)
 
 
 def cmd_eval(args) -> int:
-    labels = _read_partition(args.partition)
+    labels = _read_partition(args.partition, peek_header(args.input).n)
     spec = parse_hierarchy(args.hierarchy) if args.hierarchy else None
     dist = parse_distances(args.distances) if args.distances else None
     quality = evaluate(args.input, labels, k=args.k, hierarchy=spec, distances=dist)
@@ -290,12 +296,11 @@ _BENCH_DEFAULTS = {
     "eps": 0.03,
     "reps": 10,
     "seed": 0,
-    "threads": 1,
     "out_csv": None,
     "profile_csv": None,
     "summary_json": None,
 }
-_BENCH_TYPES = {"k": int, "base": int, "reps": int, "seed": int, "threads": int, "eps": float}
+_BENCH_TYPES = {"k": int, "base": int, "reps": int, "seed": int, "eps": float}
 
 
 def _load_bench_config(path: str) -> dict:
@@ -332,26 +337,18 @@ def _bench_settings(args) -> dict:
 
 
 def _bench_run(alg: str, source, settings, spec, seed: int) -> PartitionResult:
-    threads = settings["threads"]
     config = RunConfig(
         algorithm="fennel" if alg in ("nh-oms", "oms") else alg,
-        eps=settings["eps"], seed=seed, threads=threads,
+        eps=settings["eps"], seed=seed,
     )
     k = spec.k if spec is not None else settings["k"]
-    run = partition_parallel if threads > 1 else partition_oms
     if alg == "oms":
         if spec is None:
             raise ValueError("algorithm 'oms' needs --hierarchy")
-        tree, _ = prepare_tree(source, hierarchy=spec, eps=settings["eps"])
-        return run(source, tree, config)
+        return _partition(source, config, hierarchy=spec)
     if alg == "nh-oms":
-        tree, _ = prepare_tree(source, k=k, base=settings["base"], eps=settings["eps"])
-        return run(source, tree, config)
-    if threads > 1 and k > 1:
-        tree, _ = prepare_tree(source, hierarchy=parse_hierarchy(str(k)),
-                               eps=settings["eps"])
-        return partition_parallel(source, tree, config)
-    return partition_flat(source, k, config)
+        return _partition(source, config, k=k, base=settings["base"])
+    return _partition(source, config, k=k)
 
 
 def cmd_bench(args) -> int:

@@ -4,8 +4,7 @@ A graph source is consumed one node at a time: the header announces ``n`` and
 ``m`` up front, then each node arrives with its full adjacency list (both
 directions of every undirected edge are present). Sources can be a file path,
 an open text handle, or an :class:`InMemoryGraph`; paths and in-memory graphs
-can be re-opened for multi-pass consumers and support contiguous node-range
-shards for parallel workers.
+can be re-opened for multi-pass consumers.
 
 File format (METIS adjacency):
   * first non-comment line: ``n m [fmt]`` with ``fmt`` in {0, 1, 10, 11};
@@ -156,10 +155,9 @@ def _parse_body_line(
 class GraphStream:
     """Single-pass iterator of :class:`NodeRecord` in ascending id order.
 
-    ``next_node`` returns ``None`` once the stream is exhausted and keeps
-    returning ``None`` on further calls. Full streams (no shard bounds)
-    verify on exhaustion that exactly ``n`` records were seen and that the
-    degree sum equals ``2m``.
+    Once exhausted it stays exhausted. File streams verify on exhaustion
+    that exactly ``n`` records were seen and that the degree sum equals
+    ``2m``.
     """
 
     def __init__(self, header: GraphHeader, records: Iterator[NodeRecord]):
@@ -179,20 +177,11 @@ class GraphStream:
             self._done = True
             raise
 
-    def next_node(self) -> NodeRecord | None:
-        try:
-            return next(self)
-        except StopIteration:
-            return None
-
 
 def _file_records(
     lines: Iterator[str],
     header: GraphHeader,
-    start: int,
-    stop: int,
     sanitize: bool,
-    check_totals: bool,
     handle: io.TextIOBase | None,
 ) -> Iterator[NodeRecord]:
     try:
@@ -205,16 +194,13 @@ def _file_records(
                 continue
             if node_id >= header.n:
                 raise StreamFormatError(f"more records than n={header.n}")
-            if node_id >= stop:
-                return
-            if node_id >= start:
-                record = _parse_body_line(line, node_id, header, line_no, sanitize)
-                degree_sum += len(record.neighbors)
-                yield record
+            record = _parse_body_line(line, node_id, header, line_no, sanitize)
+            degree_sum += len(record.neighbors)
+            yield record
             node_id += 1
-        if node_id < min(stop, header.n):
+        if node_id < header.n:
             raise StreamFormatError(f"fewer records than n={header.n}: got {node_id}")
-        if check_totals and not sanitize and degree_sum != 2 * header.m:
+        if not sanitize and degree_sum != 2 * header.m:
             raise StreamFormatError(
                 f"adjacency entries sum to {degree_sum}, expected 2m={2 * header.m}"
             )
@@ -249,7 +235,7 @@ def _open_lines(
 
 @dataclass
 class InMemoryGraph:
-    """Fully materialized graph that can be re-streamed and sharded at will."""
+    """Fully materialized graph that can be re-streamed at will."""
 
     header: GraphHeader
     records: list[NodeRecord] = field(repr=False)
@@ -272,9 +258,8 @@ class InMemoryGraph:
             return self.header.n
         return sum(rec.weight for rec in self.records)
 
-    def open(self, start: int = 0, stop: int | None = None) -> GraphStream:
-        hi = self.header.n if stop is None else stop
-        return GraphStream(self.header, iter(self.records[start:hi]))
+    def open(self) -> GraphStream:
+        return GraphStream(self.header, iter(self.records))
 
     def to_metis_lines(self) -> Iterator[str]:
         h = self.header
@@ -299,25 +284,17 @@ def _fmt_num(x: int | float) -> str:
 
 def open_stream(
     source: str | Path | io.TextIOBase | InMemoryGraph,
-    start: int = 0,
-    stop: int | None = None,
     sanitize: bool = False,
 ) -> GraphStream:
     """Open a one-pass stream over ``source``.
 
-    ``start``/``stop`` select a contiguous node-id shard [start, stop); shard
-    streams skip the global degree-sum check since they do not see the whole
-    body. Text handles can only be consumed once; pass a path or an
+    Text handles can only be consumed once; pass a path or an
     :class:`InMemoryGraph` to re-open.
     """
     if isinstance(source, InMemoryGraph):
-        return source.open(start, stop)
+        return source.open()
     lines, header, owned = _open_lines(source)
-    hi = header.n if stop is None else min(stop, header.n)
-    full = start == 0 and hi == header.n
-    records = _file_records(lines, header, start, hi, sanitize, check_totals=full,
-                            handle=owned)
-    return GraphStream(header, records)
+    return GraphStream(header, _file_records(lines, header, sanitize, owned))
 
 
 def load_graph(source: str | Path | io.TextIOBase | InMemoryGraph, sanitize: bool = False) -> InMemoryGraph:

@@ -33,7 +33,6 @@ __all__ = [
     "build_tree_explicit",
     "build_tree_synth",
     "global_alpha",
-    "subproblem_alpha",
     "shared_level",
     "pe_distance",
 ]
@@ -296,18 +295,6 @@ def global_alpha(n: int, m: int, k: int) -> float:
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
     return math.sqrt(k) * m / n**1.5
-
-
-def subproblem_alpha(n: int, m: int, k: int, covered: int = 1) -> float:
-    """Penalty constant for a candidate block covering ``covered`` final blocks.
-
-    Shrinks the k-way constant by sqrt(covered). On trees built from an
-    explicit hierarchy every block at layer i covers prod(a_r for r < i)
-    final blocks, so this equals the layer-wise constant for that subproblem.
-    """
-    if covered < 1:
-        raise ValueError(f"covered must be >= 1, got {covered}")
-    return global_alpha(n, m, k) / math.sqrt(covered)
 
 
 def shared_level(spec: HierarchySpec, x: int, y: int) -> int:

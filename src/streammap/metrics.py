@@ -71,10 +71,15 @@ def evaluate(
     """Score ``assignment`` against the graph in one streaming pass.
 
     Every node must carry a PE id in [1, k]. Each undirected edge is counted
-    once (at its lower-id endpoint). ``distances`` requires ``hierarchy``.
+    once (at its lower-id endpoint). ``distances`` requires ``hierarchy``,
+    with one distance per hierarchy level.
     """
     if distances is not None and hierarchy is None:
         raise ValueError("distances need a hierarchy to locate shared levels")
+    if distances is not None and len(distances.distances) != hierarchy.ell:
+        raise ValueError(
+            f"distance spec has {len(distances.distances)} levels, hierarchy has {hierarchy.ell}"
+        )
     stream = open_stream(source)
     n = stream.header.n
     if len(assignment) != n:

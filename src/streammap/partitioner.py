@@ -13,33 +13,23 @@ sweeps over the input (one tree level per sweep). Because every decision in
 a sweep depends only on nodes streamed earlier in that same sweep, its output
 matches the single-pass descent node for node; the test suite leans on this
 equivalence heavily.
-
-``partition_parallel`` splits the node range into contiguous shards handled
-by worker threads. Block-weight increments take a lock so no update is lost;
-reads stay unguarded, so two workers may both see a block as open and
-overfill it. Such overflows are counted, not prevented.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graph_stream import (
     GraphHeader,
-    InMemoryGraph,
     NodeRecord,
     open_stream,
     peek_header,
     total_node_weight,
 )
 from .hierarchy import (
-    Block,
     HierarchySpec,
     MultiSectionTree,
     build_tree_explicit,
@@ -56,9 +46,7 @@ __all__ = [
     "PartitionResult",
     "partition_flat",
     "partition_oms",
-    "partition_parallel",
     "multipass_reference",
-    "neighbor_counts_for_children",
     "prepare_tree",
 ]
 
@@ -80,13 +68,6 @@ class RunCounters:
     hash_assignments: int = 0
     overflow_events: int = 0
 
-    def merge(self, other: RunCounters) -> None:
-        self.nodes_processed += other.nodes_processed
-        self.edges_scanned += other.edges_scanned
-        self.score_evaluations += other.score_evaluations
-        self.hash_assignments += other.hash_assignments
-        self.overflow_events += other.overflow_events
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -101,14 +82,11 @@ class RunConfig:
     eps: float = 0.03
     seed: int = 0
     hybrid_h: int | None = None
-    threads: int = 1
     tie_break: str = "weight-id"
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.hybrid_h is not None and self.hybrid_h < 0:
             raise ValueError(f"hybrid_h must be >= 0, got {self.hybrid_h}")
         ScorerConfig(self.algorithm, self.seed, self.tie_break)  # validates names
@@ -181,32 +159,6 @@ def prepare_tree(
 # ----------------------------------------------------------------------------
 
 
-def neighbor_counts_for_children(
-    record: NodeRecord,
-    parent: Block,
-    assignment: Sequence[int],
-    tree: MultiSectionTree,
-) -> list[float]:
-    """Edge weight from ``record`` into each child subtree of ``parent``.
-
-    A placed neighbor's ancestor among the children is found by checking its
-    PE against each child's covered range; neighbors outside the parent's
-    subtree (or not yet placed) contribute nothing.
-    """
-    kids = tree.children_of(parent)
-    counts = [0.0] * len(kids)
-    lo, hi = parent.cover_lo, parent.cover_hi
-    for v, w in record.neighbors:
-        pe = assignment[v]
-        if pe == UNASSIGNED or pe < lo or pe > hi:
-            continue
-        for j, kb in enumerate(kids):
-            if kb.cover_lo <= pe <= kb.cover_hi:
-                counts[j] += w
-                break
-    return counts
-
-
 def _assign_node(
     rec: NodeRecord,
     tree: MultiSectionTree,
@@ -215,7 +167,6 @@ def _assign_node(
     hash_cfg: ScorerConfig,
     hybrid_h: int | None,
     counters: RunCounters,
-    lock: threading.Lock | None,
 ) -> None:
     """Descend ``rec`` from the root to a leaf and record its PE."""
     counters.nodes_processed += 1
@@ -255,11 +206,7 @@ def _assign_node(
         if overflow:
             counters.overflow_events += 1
         chosen = kids[j]
-        if lock is None:
-            chosen.weight += cw
-        else:
-            with lock:
-                chosen.weight += cw
+        chosen.weight += cw
         if nbr_pes and s > 1:
             lo, hi = chosen.cover_lo, chosen.cover_hi
             kept_pes: list[int] = []
@@ -297,7 +244,9 @@ def _result_from_tree(
         k=tree.k,
         lmax=tree.lmax,
         total_weight=total,
-        leaf_weights=tree.leaf_weights(),
+        # a root-only tree (k=1) places every node on the root, whose weight
+        # the drivers never update
+        leaf_weights=tree.leaf_weights() if tree.depth else [total],
         counters=counters,
         algorithm=config.algorithm,
         mode=mode,
@@ -321,45 +270,9 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
     assignment = [UNASSIGNED] * header.n
     started = time.perf_counter()
     for rec in open_stream(source):
-        _assign_node(rec, tree, assignment, main_cfg, hash_cfg, config.hybrid_h, counters, None)
+        _assign_node(rec, tree, assignment, main_cfg, hash_cfg, config.hybrid_h, counters)
     seconds = time.perf_counter() - started
     return _result_from_tree(tree, assignment, total, counters, config, "oms", seconds)
-
-
-def partition_parallel(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
-    """Sharded variant of :func:`partition_oms` running ``config.threads`` workers.
-
-    Workers stream disjoint contiguous node ranges in natural order. One
-    thread is bit-identical to the sequential driver; more threads keep the
-    weight totals exact but may read stale weights while scoring.
-    """
-    header = peek_header(source)
-    total = _resolve_total(source, header)
-    _check_hybrid(config, tree.depth)
-    tree.reset_weights()
-    main_cfg = config.scorer()
-    hash_cfg = config.scorer("hashing")
-    p = min(config.threads, header.n)
-    bounds = [(header.n * i // p, header.n * (i + 1) // p) for i in range(p)]
-    assignment = [UNASSIGNED] * header.n
-    lock = threading.Lock()
-
-    def run_shard(lo_hi: tuple[int, int]) -> RunCounters:
-        lo, hi = lo_hi
-        counters = RunCounters()
-        for rec in open_stream(source, start=lo, stop=hi):
-            _assign_node(
-                rec, tree, assignment, main_cfg, hash_cfg, config.hybrid_h, counters, lock
-            )
-        return counters
-
-    counters = RunCounters()
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        for partial in pool.map(run_shard, bounds):
-            counters.merge(partial)
-    seconds = time.perf_counter() - started
-    return _result_from_tree(tree, assignment, total, counters, config, "parallel", seconds)
 
 
 def multipass_reference(
@@ -367,7 +280,7 @@ def multipass_reference(
     tree_or_spec: MultiSectionTree | HierarchySpec,
     config: RunConfig,
 ) -> PartitionResult:
-    """Hierarchical split as one full sweep per tree level (sequential only).
+    """Hierarchical split as one full sweep per tree level.
 
     Sweep d refines every node one level deeper; nodes already sitting on a
     leaf carry their placement through later sweeps. Requires a re-openable

@@ -28,8 +28,6 @@ __all__ = [
     "NEG_INF",
     "ScorerConfig",
     "SubproblemView",
-    "fennel_score",
-    "ldg_score",
     "hashing_assign",
     "select_block",
 ]
@@ -59,10 +57,6 @@ class ScorerConfig:
         if self.tie_break not in _TIE_BREAKS:
             raise ValueError(f"unknown tie-break {self.tie_break!r}; expected {_TIE_BREAKS}")
 
-    @property
-    def gamma(self) -> float:
-        return GAMMA
-
 
 @dataclass
 class SubproblemView:
@@ -76,21 +70,6 @@ class SubproblemView:
     blocks: Sequence[Block]
     neighbor_counts: Sequence[float]
     node_weight: int | float
-
-
-def fennel_score(view: SubproblemView, j: int) -> float:
-    """Additive-penalty score of candidate j; -inf when the node no longer fits."""
-    b = view.blocks[j]
-    w = b.weight
-    if w + view.node_weight > b.capacity:
-        return NEG_INF
-    return view.neighbor_counts[j] - (b.alpha * GAMMA) * math.sqrt(w)
-
-
-def ldg_score(view: SubproblemView, j: int) -> float:
-    """Multiplicative-penalty score of candidate j (0 at full capacity)."""
-    b = view.blocks[j]
-    return view.neighbor_counts[j] * (1.0 - b.weight / b.capacity)
 
 
 _M64 = (1 << 64) - 1

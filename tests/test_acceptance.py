@@ -25,7 +25,6 @@ from streammap.partitioner import (
     multipass_reference,
     partition_flat,
     partition_oms,
-    partition_parallel,
     prepare_tree,
 )
 
@@ -270,27 +269,6 @@ def test_criterion_08_heterogeneous_capacities():
     assert sorted(caps) == [2 * lmax, 3 * lmax]
     _verdict(8, "k=5 bisection splits capacity 3L/2L", True,
              f"top-level capacities {caps} with lmax={lmax}")
-
-
-def test_criterion_09_parallel_conservation_and_degeneracy():
-    graph = random_geometric(2000, seed=11)
-    spec = parse_hierarchy("4:4:2")
-    tree, _ = prepare_tree(graph, hierarchy=spec, eps=0.03)
-    sequential = partition_oms(graph, tree, RunConfig(eps=0.03))
-    drift = []
-    for threads in (1, 2, 4, 8):
-        config = RunConfig(eps=0.03, threads=threads)
-        result = partition_parallel(graph, tree, config)
-        assert sum(result.leaf_weights) == graph.n, f"lost updates at p={threads}"
-        if threads == 1:
-            assert result.assignment.tolist() == sequential.assignment.tolist()
-            assert result.leaf_weights == sequential.leaf_weights
-        cut = evaluate(graph, result.assignment, k=spec.k).edge_cut
-        drift.append(
-            f"p={threads}: cut={cut} imbalance={result.imbalance:+.3f} "
-            f"overflow={result.counters.overflow_events}"
-        )
-    _verdict(9, "parallel weights conserved, one thread exact", True, "; ".join(drift))
 
 
 def test_criterion_10_streaming_never_beats_enumeration():

@@ -66,12 +66,9 @@ class TestPartition:
 
     def test_bad_flags_exit_two(self):
         assert main(["partition", "--nonsense"]) == 2
-
-    def test_threads_flag(self, graph_file, tmp_path):
-        out = tmp_path / "par.part"
-        assert main(["partition", "--input", str(graph_file), "--k", "4",
-                     "--threads", "2", "--output", str(out)]) == 0
-        assert len(out.read_text().split()) == 400
+        for command in (["partition", "--k", "4"], ["map", "--hierarchy", "2:2"],
+                        ["nh", "--k", "4"], ["bench", "--k", "4"]):
+            assert main([*command, "--input", "g.graph", "--threads", "2"]) == 2
 
 
 class TestMap:
@@ -90,6 +87,22 @@ class TestMap:
 
     def test_bad_hierarchy_is_infeasible(self, graph_file):
         assert main(["map", "--input", str(graph_file), "--hierarchy", "4:1"]) == 3
+
+    @pytest.mark.parametrize("distances", ["1", "1:10:100"])
+    def test_distance_levels_must_match_hierarchy(self, graph_file, tmp_path, capsys,
+                                                  distances):
+        part = tmp_path / "p.part"
+        assert main(["partition", "--input", str(graph_file), "--k", "4",
+                     "--output", str(part)]) == 0
+        capsys.readouterr()
+        flags = ["--input", str(graph_file), "--hierarchy", "2:2", "--distances", distances]
+        for argv in (["map", *flags],
+                     ["eval", *flags, "--partition", str(part)],
+                     ["bench", *flags, "--algorithms", "oms", "--reps", "1"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "hierarchy has 2" in err
 
     def test_full_machine_hierarchy_k128(self, tmp_path):
         graph = tmp_path / "big.graph"
@@ -154,6 +167,17 @@ class TestEval:
         emitted = json.loads(report.read_text())["quality"]
         recomputed = json.loads(eval_report.read_text())["quality"]
         assert emitted == recomputed
+
+    @pytest.mark.parametrize("body, where", [
+        ("1\n2\nx\n", "line 3: non-integer label 'x'"),
+        ("1\n2\n", "file ends at line 2 with 2 labels, expected n=400"),
+    ])
+    def test_bad_partition_file_is_format_error(self, graph_file, tmp_path, capsys,
+                                                body, where):
+        part = tmp_path / "bad.part"
+        part.write_text(body, encoding="ascii")
+        assert main(["eval", "--input", str(graph_file), "--partition", str(part)]) == 1
+        assert f"{part}: {where}" in capsys.readouterr().err
 
     def test_eval_without_hierarchy(self, graph_file, tmp_path):
         part = tmp_path / "p.part"
@@ -222,12 +246,16 @@ class TestBench:
         assert main(["bench", "--input", str(graph_file),
                      "--algorithms", "fennel"]) == 3
 
-    def test_threads_flag_runs_all_modes(self, graph_file, tmp_path):
+    def test_threads_config_key_rejected(self, graph_file, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"input = {graph_file}\nk = 4\nthreads = 2\n", encoding="ascii")
+        assert main(["bench", "--config", str(cfg)]) == 3
+
+    def test_runs_all_modes(self, graph_file, tmp_path):
         out_csv = tmp_path / "bench.csv"
         assert main(["bench", "--input", str(graph_file),
                      "--algorithms", "fennel,nh-oms,oms", "--hierarchy", "2:2:2",
-                     "--reps", "1", "--threads", "2",
-                     "--out-csv", str(out_csv)]) == 0
+                     "--reps", "1", "--out-csv", str(out_csv)]) == 0
         with open(out_csv) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 3

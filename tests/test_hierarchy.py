@@ -17,7 +17,6 @@ from streammap.hierarchy import (
     parse_hierarchy,
     pe_distance,
     shared_level,
-    subproblem_alpha,
 )
 
 specs = st.lists(st.integers(2, 6), min_size=1, max_size=4).map(tuple)
@@ -215,11 +214,18 @@ class TestAlpha:
     def test_layer_two_alpha_is_half(self):
         # levels 4:16:2 -> a block one level above the leaves covers 4 PEs
         spec = parse_hierarchy("4:16:2")
+        tree = build_tree_explicit(spec, 1)
+        tree.set_alphas(1000, 10000)
         a = global_alpha(1000, 10000, spec.k)
-        assert subproblem_alpha(1000, 10000, spec.k, covered=4) == a / 2
+        above_leaves = [b for b in tree.blocks if b.depth == spec.ell - 1]
+        assert above_leaves and all(b.covered == 4 for b in above_leaves)
+        assert all(b.alpha == a / 2 for b in above_leaves)
 
     def test_leaf_alpha_is_global(self):
-        assert subproblem_alpha(50, 200, 8, covered=1) == global_alpha(50, 200, 8)
+        for tree in (build_tree_explicit(parse_hierarchy("2:2:2"), 1),
+                     build_tree_synth(8, 3, 1)):
+            tree.set_alphas(50, 200)
+            assert all(b.alpha == global_alpha(50, 200, 8) for b in tree.leaves())
 
     def test_zero_edges_degenerate(self):
         assert global_alpha(10, 0, 4) == 0.0

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from streammap.hierarchy import Block
 from streammap.scoring import (
     GAMMA,
-    NEG_INF,
     ScorerConfig,
     SubproblemView,
-    fennel_score,
     hashing_assign,
-    ldg_score,
     select_block,
 )
 
@@ -32,23 +29,43 @@ def view(counts, weights, capacities, alphas=None, node_weight=1):
     return SubproblemView(make_blocks(weights, capacities, alphas), counts, node_weight)
 
 
+def winner(v, alg="fennel", tie_break="weight-id"):
+    j, overflow = select_block(v, ScorerConfig(alg, tie_break=tie_break))
+    assert not overflow
+    return j
+
+
+# Fennel and ldg scores are pinned through ``select_block``: a candidate's
+# score is read off the point where it starts to beat (or lose to) a
+# reference candidate. With the "id" tie-break an exact tie goes to index 0;
+# with "weight-id" it goes to the lighter candidate.
+
+
 class TestFennelScore:
     def test_zero_weight_block_scores_neighbor_count(self):
-        v = view([3.0], [0], [100], alphas=[5.0])
-        assert fennel_score(v, 0) == 3.0
+        # no penalty at weight 0, however large alpha is
+        v = view([3.0, 2.5], [0, 0], [100, 100], alphas=[5.0, 0.0])
+        assert winner(v) == 0
+        v = view([2.5, 3.0], [0, 0], [100, 100], alphas=[5.0, 0.0])
+        assert winner(v) == 1
 
     def test_pure_penalty(self):
-        v = view([0.0], [4], [100], alphas=[1.0])
-        assert fennel_score(v, 0) == -1.5 * math.sqrt(4)
-        assert fennel_score(v, 0) == -3.0
+        # a weight-4 block at alpha 1 pays exactly 1.5 * sqrt(4) = 3
+        v = view([3.0, 0.0], [4, 0], [100, 100], alphas=[1.0, 1.0])
+        assert winner(v, tie_break="id") == 0
+        assert winner(v) == 1
 
     def test_full_block_gets_sentinel(self):
-        v = view([9.0], [10], [10], alphas=[1.0])
-        assert fennel_score(v, 0) == NEG_INF
+        # the full block loses to an open one that scores far below zero
+        v = view([9.0, 0.0], [10, 99], [10, 1000], alphas=[1.0, 10.0])
+        assert winner(v) == 1
 
     def test_gamma_fixed(self):
+        # penalty alpha * GAMMA * weight^(GAMMA - 1): 1.5 * sqrt(16) = 6
         assert GAMMA == 1.5
-        assert ScorerConfig().gamma == 1.5
+        v = view([6.0, 0.0], [16, 0], [100, 100], alphas=[1.0, 1.0])
+        assert winner(v, tie_break="id") == 0
+        assert winner(v) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(w1=st.integers(0, 50), w2=st.integers(0, 50), count=st.floats(0, 10),
@@ -57,8 +74,9 @@ class TestFennelScore:
         if w1 == w2:
             return
         lo, hi = sorted([w1, w2])
-        v = view([count, count], [lo, hi], [1000, 1000], alphas=[alpha, alpha])
-        assert fennel_score(v, 0) > fennel_score(v, 1)
+        # the heavier block comes first, so an id tie-break would pick it
+        v = view([count, count], [hi, lo], [1000, 1000], alphas=[alpha, alpha])
+        assert winner(v, tie_break="id") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -72,26 +90,37 @@ class TestFennelScore:
             return
         lo, hi = sorted([c1, c2])
         v = view([lo, hi], [w, w], [1000, 1000], alphas=[1.0, 1.0])
-        assert fennel_score(v, 1) > fennel_score(v, 0)
+        assert winner(v, tie_break="id") == 1
 
 
 class TestLdgScore:
     def test_half_full_block(self):
-        v = view([3.0], [10], [20])
-        assert ldg_score(v, 0) == 1.5
+        # 3 neighbours at half capacity score exactly 3 * (1 - 10/20) = 1.5
+        v = view([3.0, 1.5], [10, 0], [20, 20])
+        assert winner(v, "ldg", tie_break="id") == 0
+        assert winner(v, "ldg") == 1
 
     def test_full_block_scores_zero(self):
-        v = view([7.0], [20], [20])
-        assert ldg_score(v, 0) == 0.0
+        # a full block is never chosen while a sibling is open, neighbours or not
+        v = view([7.0, 0.0], [20, 19], [20, 20])
+        assert winner(v, "ldg") == 1
 
     def test_no_neighbors_scores_zero(self):
-        v = view([0.0], [3], [20])
-        assert ldg_score(v, 0) == 0.0
+        # without neighbours ldg ties whatever the weights; the tie-break decides
+        v = view([0.0, 0.0], [3, 0], [20, 20])
+        assert winner(v, "ldg", tie_break="id") == 0
+        assert winner(v, "ldg") == 1
 
     def test_uses_own_heterogeneous_capacity(self):
+        # 2 neighbours at weight 5 score 2 * (1 - 5/10) = 1.0 under capacity
+        # 10 and 2 * (1 - 5/40) = 1.75 under capacity 40
+        for cap, score in ((10, 1.0), (40, 1.75)):
+            v = view([2.0, score], [5, 0], [cap, 40])
+            assert winner(v, "ldg", tie_break="id") == 0
+            assert winner(v, "ldg") == 1
+        # a shared capacity would tie these two and the id tie-break pick index 0
         v = view([2.0, 2.0], [5, 5], [10, 40])
-        assert ldg_score(v, 0) == 2.0 * 0.5
-        assert ldg_score(v, 1) == 2.0 * 0.875
+        assert winner(v, "ldg", tie_break="id") == 1
 
 
 class TestHashing:
