@@ -1,10 +1,11 @@
 """One-pass streaming graph partitioning and process mapping.
 
 Nodes arrive once, with their adjacency lists, and are permanently placed on
-arrival: either scored against all k blocks (flat baselines) or walked down a
-multi-section tree so each placement scores only a handful of sub-blocks per
-level. Explicit machine hierarchies turn the same descent into a process
-mapper that keeps heavily communicating nodes under cheap shared modules.
+arrival by walking down a multi-section tree, so each placement scores only a
+handful of sub-blocks per level. The flat baselines, which score every node
+against all k blocks, are the same descent over a depth-1 tree. Explicit
+machine hierarchies turn the descent into a process mapper that keeps
+heavily communicating nodes under cheap shared modules.
 """
 
 from .graph_stream import (

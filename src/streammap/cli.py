@@ -2,7 +2,8 @@
 
 Subcommands:
   gen        write a generated benchmark graph in adjacency format
-  partition  flat one-pass k-way baselines (fennel, ldg, hashing)
+  partition  flat one-pass k-way baselines (fennel, ldg, hashing), run as
+             the descent of a depth-1 tree with k leaves
   map        hierarchical multi-section along an explicit machine hierarchy
   nh         multi-section over a synthesized base-b tree for arbitrary k
   eval       re-score an existing partition file

@@ -1,12 +1,13 @@
 """One-pass assignment drivers.
 
-``partition_flat`` is the classical baseline: every streamed node is scored
-against all k blocks (or hashed straight to one). ``partition_oms`` descends
-a multi-section tree instead: at each internal block the node is scored only
-against that block's children, so a node reaches its final block after
-depth-many small selections instead of one k-wide scan. The descent stores
-one leaf id per node; ancestors are recovered from covered PE ranges, never
-stored.
+``partition_oms`` descends a multi-section tree: at each internal block the
+node is scored only against that block's children, so a node reaches its
+final block after depth-many small selections instead of one k-wide scan.
+The descent stores one leaf id per node; ancestors are recovered from
+covered PE ranges, never stored, and a neighbour's child at each level is
+computed from its PE id. ``partition_flat``, the classical baseline that
+scores every node against all k blocks (or hashes it straight to one), is
+the same descent over a depth-1 tree with k leaves.
 
 ``multipass_reference`` realizes the same hierarchical split as repeated
 sweeps over the input (one tree level per sweep). Because every decision in
@@ -24,7 +25,6 @@ import numpy as np
 
 from .graph_stream import (
     GraphHeader,
-    NodeRecord,
     open_stream,
     peek_header,
     total_node_weight,
@@ -35,9 +35,8 @@ from .hierarchy import (
     build_tree_explicit,
     build_tree_synth,
     compute_lmax,
-    global_alpha,
 )
-from .scoring import GAMMA, NEG_INF, ScorerConfig, SubproblemView, hashing_assign, select_block
+from .scoring import WIDE_FANOUT, ScorerConfig, SubproblemView, WideGroup, select_block
 
 __all__ = [
     "UNASSIGNED",
@@ -159,69 +158,6 @@ def prepare_tree(
 # ----------------------------------------------------------------------------
 
 
-def _assign_node(
-    rec: NodeRecord,
-    tree: MultiSectionTree,
-    assignment: list[int],
-    main_cfg: ScorerConfig,
-    hash_cfg: ScorerConfig,
-    hybrid_h: int | None,
-    counters: RunCounters,
-) -> None:
-    """Descend ``rec`` from the root to a leaf and record its PE."""
-    counters.nodes_processed += 1
-    counters.edges_scanned += len(rec.neighbors)
-    nbr_pes: list[int] = []
-    nbr_ws: list[int | float] = []
-    for v, w in rec.neighbors:
-        pe = assignment[v]
-        if pe != UNASSIGNED:
-            nbr_pes.append(pe)
-            nbr_ws.append(w)
-    block = tree.root
-    depth = 0
-    cw = rec.weight
-    nid = rec.id
-    while True:
-        kids = tree.children_of(block)
-        if not kids:
-            break
-        s = len(kids)
-        counts = [0.0] * s
-        for t in range(len(nbr_pes)):
-            pe = nbr_pes[t]
-            for j in range(s):
-                kb = kids[j]
-                if kb.cover_lo <= pe <= kb.cover_hi:
-                    counts[j] += nbr_ws[t]
-                    break
-        cfg = main_cfg if (hybrid_h is None or depth < hybrid_h) else hash_cfg
-        j, overflow = select_block(
-            SubproblemView(kids, counts, cw), cfg, node_id=nid, parent_id=block.id
-        )
-        if cfg.algorithm == "hashing":
-            counters.hash_assignments += 1
-        else:
-            counters.score_evaluations += s
-        if overflow:
-            counters.overflow_events += 1
-        chosen = kids[j]
-        chosen.weight += cw
-        if nbr_pes and s > 1:
-            lo, hi = chosen.cover_lo, chosen.cover_hi
-            kept_pes: list[int] = []
-            kept_ws: list[int | float] = []
-            for t in range(len(nbr_pes)):
-                pe = nbr_pes[t]
-                if lo <= pe <= hi:
-                    kept_pes.append(pe)
-                    kept_ws.append(nbr_ws[t])
-            nbr_pes, nbr_ws = kept_pes, kept_ws
-        block = chosen
-        depth += 1
-    assignment[nid] = block.cover_lo
-
-
 def _check_hybrid(config: RunConfig, depth: int) -> None:
     if config.hybrid_h is not None and config.hybrid_h > depth:
         raise ValueError(f"hybrid_h={config.hybrid_h} exceeds tree depth {depth}")
@@ -257,20 +193,84 @@ def _result_from_tree(
 def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
     """Single-pass recursive multi-section over ``tree``.
 
-    Resets tree weights, so a tree can be reused across runs. Candidate
-    penalty constants must already be stamped (see :func:`prepare_tree`).
+    Each node descends from the root to a leaf, which is its PE. Resets tree
+    weights, so a tree can be reused across runs. Candidate penalty
+    constants must already be stamped (see :func:`prepare_tree`). The total
+    node weight is summed during the pass, in stream order.
     """
     header = peek_header(source)
-    total = _resolve_total(source, header)
     _check_hybrid(config, tree.depth)
     tree.reset_weights()
     main_cfg = config.scorer()
     hash_cfg = config.scorer("hashing")
+    hybrid_h = config.hybrid_h
+    scored = hybrid_h != 0 and main_cfg.algorithm != "hashing"
     counters = RunCounters()
     assignment = [UNASSIGNED] * header.n
+    wide: dict[int, WideGroup] = {}  # parent block id -> numpy form of its children
+    total: int | float = 0
     started = time.perf_counter()
     for rec in open_stream(source):
-        _assign_node(rec, tree, assignment, main_cfg, hash_cfg, config.hybrid_h, counters)
+        cw = rec.weight
+        nid = rec.id
+        total += cw
+        counters.nodes_processed += 1
+        counters.edges_scanned += len(rec.neighbors)
+        nbr_pes: list[int] = []
+        nbr_ws: list[int | float] = []
+        if scored:
+            for v, w in rec.neighbors:
+                pe = assignment[v]
+                if pe != UNASSIGNED:
+                    nbr_pes.append(pe)
+                    nbr_ws.append(w)
+        block = tree.root
+        depth = 0
+        while kids := tree.children_of(block):
+            s = len(kids)
+            cfg = main_cfg if (hybrid_h is None or depth < hybrid_h) else hash_cfg
+            if cfg.algorithm == "hashing":
+                # levels below a hashed one hash too, so counts are never read
+                j, overflow = select_block(
+                    SubproblemView(kids, (), cw), cfg, node_id=nid, parent_id=block.id
+                )
+                counters.hash_assignments += 1
+            else:
+                # Siblings split the parent's range by _split_sizes: r children
+                # of q+1 PEs, then children of q PEs.
+                lo = block.cover_lo
+                q, r = divmod(block.cover_hi - lo + 1, s)
+                q1 = q + 1
+                mid = lo + r * q1
+                if s > WIDE_FANOUT:
+                    group = wide.get(block.id)
+                    if group is None:
+                        group = wide[block.id] = WideGroup(kids, cfg)
+                    idx = [(pe - lo) // q1 if pe < mid else r + (pe - mid) // q for pe in nbr_pes]
+                    j, overflow = group.select(idx, nbr_ws, cw)
+                else:
+                    counts = [0.0] * s
+                    for t in range(len(nbr_pes)):
+                        pe = nbr_pes[t]
+                        if pe < mid:
+                            counts[(pe - lo) // q1] += nbr_ws[t]
+                        else:
+                            counts[r + (pe - mid) // q] += nbr_ws[t]
+                    j, overflow = select_block(
+                        SubproblemView(kids, counts, cw), cfg, node_id=nid, parent_id=block.id
+                    )
+                counters.score_evaluations += s
+                chosen = kids[j]
+                if nbr_pes and chosen.children:
+                    lo, hi = chosen.cover_lo, chosen.cover_hi
+                    nbr_ws = [w for pe, w in zip(nbr_pes, nbr_ws) if lo <= pe <= hi]
+                    nbr_pes = [pe for pe in nbr_pes if lo <= pe <= hi]
+            if overflow:
+                counters.overflow_events += 1
+            block = kids[j]
+            block.weight += cw
+            depth += 1
+        assignment[nid] = block.cover_lo
     seconds = time.perf_counter() - started
     return _result_from_tree(tree, assignment, total, counters, config, "oms", seconds)
 
@@ -341,106 +341,15 @@ def multipass_reference(
     return _result_from_tree(tree, assignment, total, counters, config, "multipass", seconds)
 
 
-# ----------------------------------------------------------------------------
-# Flat k-way baselines
-# ----------------------------------------------------------------------------
-
-
-def _vector_select(
-    scores: np.ndarray, weights: np.ndarray, tie_break: str
-) -> int:
-    """Argmax with the same tie-break semantics as the scalar selection."""
-    best = scores.max()
-    if best == NEG_INF:
-        return -1
-    ties = np.flatnonzero(scores == best)
-    if ties.shape[0] == 1 or tie_break == "id":
-        return int(ties[0])
-    order = np.lexsort((ties, weights[ties]))
-    return int(ties[order[0]])
-
-
 def partition_flat(source, k: int, config: RunConfig) -> PartitionResult:
-    """Classical one-pass k-way partitioning.
+    """Classical one-pass k-way partitioning: the descent of a depth-1 tree.
 
-    Scored rules evaluate all k blocks per node (vectorized, but arithmetic
-    and tie-breaks match the scalar selection bit for bit); hashing places
-    each node with a single hash plus a forward probe when its target is
-    full.
+    Scored rules evaluate all k blocks per node (with numpy once k exceeds
+    ``WIDE_FANOUT``); hashing places each node with a single hash plus a
+    forward probe when its target is full. At k=1 the tree is its root
+    alone, so nodes are placed without any selection being counted.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    header = peek_header(source)
-    total = _resolve_total(source, header)
-    lmax = compute_lmax(total, k, config.eps)
-    if k * lmax < total:
-        raise AssertionError("capacity below total weight despite ceiling")
-    counters = RunCounters()
-    n = header.n
-    assignment = [UNASSIGNED] * n
-    weights = np.zeros(k, dtype=np.float64)
-    hashing = config.algorithm == "hashing"
-    fennel = config.algorithm == "fennel"
-    alpha_gamma = global_alpha(n, header.m, k) * GAMMA
-    counts = np.zeros(k, dtype=np.float64)
-    started = time.perf_counter()
-    if hashing:
-        scorer = config.scorer()
-        py_weights = [0.0] * k
-        for rec in open_stream(source):
-            counters.nodes_processed += 1
-            counters.edges_scanned += len(rec.neighbors)
-            counters.hash_assignments += 1
-            cw = rec.weight
-            start = hashing_assign(rec.id, k, scorer.seed, parent_id=0)
-            j = -1
-            for step in range(k):
-                cand = (start + step) % k
-                if py_weights[cand] + cw <= lmax:
-                    j = cand
-                    break
-            if j < 0:
-                counters.overflow_events += 1
-                j = min(range(k), key=lambda b: (py_weights[b], b))
-            assignment[rec.id] = j + 1
-            py_weights[j] += cw
-        weights[:] = py_weights
-    else:
-        for rec in open_stream(source):
-            counters.nodes_processed += 1
-            counters.edges_scanned += len(rec.neighbors)
-            counters.score_evaluations += k
-            cw = rec.weight
-            touched = []
-            for v, w in rec.neighbors:
-                pe = assignment[v]
-                if pe != UNASSIGNED:
-                    counts[pe - 1] += w
-                    touched.append(pe - 1)
-            if fennel:
-                scores = counts - alpha_gamma * np.sqrt(weights)
-            else:
-                scores = counts * (1.0 - weights / lmax)
-            scores[weights + cw > lmax] = NEG_INF
-            j = _vector_select(scores, weights, config.tie_break)
-            if j < 0:
-                counters.overflow_events += 1
-                order = np.lexsort((np.arange(k), weights))
-                j = int(order[0])
-            assignment[rec.id] = j + 1
-            weights[j] += cw
-            if touched:
-                counts[touched] = 0.0
-    seconds = time.perf_counter() - started
-    leaf_weights = [int(w) if float(w).is_integer() else float(w) for w in weights]
-    return PartitionResult(
-        assignment=np.asarray(assignment, dtype=np.int32),
-        k=k,
-        lmax=lmax,
-        total_weight=total,
-        leaf_weights=leaf_weights,
-        counters=counters,
-        algorithm=config.algorithm,
-        mode="flat",
-        assign_seconds=seconds,
-    )
+    tree, _ = prepare_tree(source, k=k, base=max(k, 2), eps=config.eps)
+    result = partition_oms(source, tree, config)
+    result.mode = "flat"
+    return result

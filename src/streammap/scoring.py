@@ -13,6 +13,9 @@ A candidate is open when the node still fits under its capacity. Selection
 only ever returns a closed candidate when every sibling is closed, which is
 reported as an overflow event. Ties break toward the lighter block, then the
 lower block id.
+
+Sibling groups wider than ``WIDE_FANOUT``, such as a flat k-way split, are
+scored with numpy by :class:`WideGroup`, to the same result.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .hierarchy import Block
 
 __all__ = [
@@ -28,12 +33,17 @@ __all__ = [
     "NEG_INF",
     "ScorerConfig",
     "SubproblemView",
+    "WIDE_FANOUT",
+    "WideGroup",
     "hashing_assign",
     "select_block",
 ]
 
 GAMMA = 1.5
 NEG_INF = float("-inf")
+# Scored sibling groups wider than this go through WideGroup; the scalar loop
+# and numpy cost about the same near 48 candidates.
+WIDE_FANOUT = 64
 
 _ALGORITHMS = ("fennel", "ldg", "hashing")
 _TIE_BREAKS = ("weight-id", "id")
@@ -165,3 +175,69 @@ def select_block(
     if best_j < 0:
         return _min_weight_index(blocks), True
     return best_j, False
+
+
+def _vector_select(scores: np.ndarray, weights: np.ndarray, tie_break: str) -> int:
+    """Argmax with the same tie-break semantics as the scalar selection."""
+    best = scores.max()
+    if best == NEG_INF:
+        return -1
+    ties = np.flatnonzero(scores == best)
+    if ties.shape[0] == 1 or tie_break == "id":
+        return int(ties[0])
+    order = np.lexsort((ties, weights[ties]))
+    return int(ties[order[0]])
+
+
+class WideGroup:
+    """Numpy form of one wide sibling group under a scored rule.
+
+    Each candidate's weight term (fennel's ``alpha * GAMMA * sqrt(w)``, ldg's
+    ``1 - w / capacity``) is recomputed with the scalar expression only when
+    that candidate's weight changes, so scores equal :func:`select_block`'s
+    bit for bit. ``weights`` copies the blocks' weights; the caller still adds
+    each placed node to its block.
+    """
+
+    def __init__(self, blocks: Sequence[Block], config: ScorerConfig):
+        self.blocks = blocks
+        self.config = config
+        self.weights = np.array([b.weight for b in blocks], dtype=np.float64)
+        self.capacity = np.array([b.capacity for b in blocks], dtype=np.float64)
+        self.term = np.array([self._term(b, b.weight) for b in blocks], dtype=np.float64)
+        self.counts = np.zeros(len(blocks))  # zero between calls
+        self.heaviest = max(b.weight for b in blocks)
+        self.least_capacity = min(b.capacity for b in blocks)
+
+    def _term(self, b: Block, w: int | float) -> float:
+        if self.config.algorithm == "fennel":
+            return (b.alpha * GAMMA) * math.sqrt(w)
+        return 1.0 - w / b.capacity
+
+    def select(self, child_idx: list[int], child_ws: list, node_weight) -> tuple[int, bool]:
+        """:func:`select_block` for this group; the node's placed neighbours
+        come as candidate indices and edge weights, in stream order."""
+        counts = self.counts
+        for c, w in zip(child_idx, child_ws):
+            counts[c] += w
+        weights = self.weights
+        if self.config.algorithm == "fennel":
+            scores = counts - self.term
+        else:
+            scores = counts * self.term
+        # rounding is monotone, so when the heaviest candidate takes the node
+        # under the smallest capacity, every candidate is open
+        if self.heaviest + node_weight > self.least_capacity:
+            scores[weights + node_weight > self.capacity] = NEG_INF
+        j = _vector_select(scores, weights, self.config.tie_break)
+        overflow = j < 0
+        if overflow:
+            j = int(np.lexsort((np.arange(weights.shape[0]), weights))[0])
+        w = weights[j] + node_weight
+        weights[j] = w
+        if w > self.heaviest:
+            self.heaviest = w
+        self.term[j] = self._term(self.blocks[j], w)
+        if child_idx:
+            counts[child_idx] = 0.0
+        return j, overflow

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import io
+import random
 
-from streammap.graph_stream import GraphHeader, InMemoryGraph, NodeRecord
+import pytest
+from hypothesis import strategies as st
+
+from streammap.graph_stream import GraphHeader, InMemoryGraph, NodeRecord, load_graph
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> InMemoryGraph:
@@ -31,6 +35,36 @@ def four_cycle() -> InMemoryGraph:
 
 def complete_graph(n: int) -> InMemoryGraph:
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+@st.composite
+def metis_graphs(draw, max_n=30, min_n=1):
+    """Random simple graph in any METIS format, parsed from its text.
+
+    Edges come from a seeded random source at a drawn density, so graphs are
+    dense enough for neighbour counts to decide placements. Node and edge
+    weights are drawn when the format flags them; 0.5 keeps fractional edge
+    weights in the mix (exact in binary, so sums agree).
+    """
+    n = draw(st.integers(min_n, max_n))
+    fmt = draw(st.sampled_from([0, 1, 10, 11]))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    edge_weights = [1, 2, 3, 7, 0.5]
+    adj: list[list[str]] = [[] for _ in range(n)]
+    m = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < density:
+                w = f" {rnd.choice(edge_weights)}" if fmt % 10 == 1 else ""
+                adj[u].append(f"{v + 1}{w}")
+                adj[v].append(f"{u + 1}{w}")
+                m += 1
+    lines = [f"{n} {m} {fmt}"]
+    for u in range(n):
+        node_w = [str(rnd.randint(1, 5))] if fmt >= 10 else []
+        lines.append(" ".join(node_w + adj[u]))
+    return load_graph(io.StringIO("\n".join(lines) + "\n"))
 
 
 @pytest.fixture

@@ -119,7 +119,8 @@ def test_criterion_01_single_pass_equals_multipass():
 def test_criterion_02_flat_degeneracy():
     checked = 0
     for gname, graph in equivalence_graphs():
-        for k in (2, 6, 13):
+        # 100 lies above the fan-out from which sibling groups are scored with numpy
+        for k in (2, 6, 13, 100):
             spec = parse_hierarchy(str(k))
             for algorithm in ("fennel", "ldg"):
                 config = RunConfig(algorithm=algorithm, seed=checked % 3)
@@ -128,6 +129,11 @@ def test_criterion_02_flat_degeneracy():
                 flat = partition_flat(graph, k, config)
                 assert oms.assignment.tolist() == flat.assignment.tolist(), (
                     f"{gname} k={k} {algorithm}: single-level descent != flat"
+                )
+                # flat runs through the descent, so the sweeps are the independent check
+                ref = multipass_reference(graph, tree, config)
+                assert ref.assignment.tolist() == flat.assignment.tolist(), (
+                    f"{gname} k={k} {algorithm}: one-level sweep != flat"
                 )
                 checked += 1
     _verdict(2, "single-level descent degenerates to flat", True,

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import metis_graphs
 from streammap.graph_stream import (
     GraphHeader,
     InMemoryGraph,
@@ -185,6 +188,19 @@ class TestGenerators:
         back = load_graph(path)
         assert back.header == g.header
         assert back.records == g.records
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=metis_graphs(max_n=25))
+def test_metis_round_trip_every_format(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "round.graph"
+        write_metis(graph, path)
+        back = load_graph(path)
+        assert back.header == graph.header
+        assert back.records == graph.records
+        # a clean file has nothing to sanitize
+        assert load_graph(path, sanitize=True).records == back.records
 
 
 @settings(max_examples=40, deadline=None)

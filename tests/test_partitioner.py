@@ -1,15 +1,13 @@
 from __future__ import annotations
 
-import io
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_graph, triangle
-from streammap.graph_stream import grid2d, load_graph, random_geometric, ring
+from conftest import metis_graphs, path_graph, triangle
+from streammap import partitioner
+from streammap.graph_stream import grid2d, random_geometric, ring, total_node_weight
 from streammap.hierarchy import Block, HierarchySpec, parse_hierarchy
 from streammap.partitioner import (
     RunConfig,
@@ -18,8 +16,14 @@ from streammap.partitioner import (
     partition_oms,
     prepare_tree,
 )
-from streammap.partitioner import _vector_select  # noqa: PLC2701 (vector/scalar parity)
-from streammap.scoring import NEG_INF, ScorerConfig, SubproblemView, select_block
+from streammap.scoring import _vector_select  # noqa: PLC2701 (vector/scalar parity)
+from streammap.scoring import (
+    NEG_INF,
+    WIDE_FANOUT,
+    ScorerConfig,
+    SubproblemView,
+    select_block,
+)
 
 
 class TestFlat:
@@ -28,6 +32,12 @@ class TestFlat:
         res = partition_flat(g, 1, RunConfig())
         assert res.assignment.tolist() == [1] * 6
         assert res.leaf_weights == [6]
+        # a root-only tree makes no selection, scored or hashed
+        for alg in ("fennel", "ldg", "hashing"):
+            counters = partition_flat(g, 1, RunConfig(algorithm=alg)).counters
+            assert counters.score_evaluations == 0
+            assert counters.hash_assignments == 0
+            assert counters.nodes_processed == 6
 
     def test_triangle_fennel_trace(self):
         # alpha = sqrt(3)*3/3^1.5 = 1, so after node 0 lands in block 1 the
@@ -86,6 +96,15 @@ class TestOms:
         flat = partition_flat(g, 6, cfg)
         assert oms.assignment.tolist() == flat.assignment.tolist()
         assert oms.leaf_weights == flat.leaf_weights
+        # flat is itself a descent; the sweeps are the independent reference,
+        # here also past the fan-out where the numpy form takes over
+        for k in (6, WIDE_FANOUT + 36):
+            tree, _ = prepare_tree(g, hierarchy=parse_hierarchy(str(k)), eps=cfg.eps)
+            flat = partition_flat(g, k, cfg)
+            ref = multipass_reference(g, tree, cfg)
+            assert flat.assignment.tolist() == ref.assignment.tolist()
+            assert flat.leaf_weights == ref.leaf_weights
+            assert flat.counters == ref.counters
 
     def test_all_layers_hashed_equals_layerwise_hashing(self):
         g = random_geometric(150, seed=2)
@@ -243,6 +262,21 @@ class TestWeightedNodes:
         assert res.max_leaf_weight <= res.lmax
         assert res.counters.overflow_events == 0
 
+    def test_total_weight_comes_from_the_assign_pass(self, tmp_graph_file, monkeypatch):
+        # fractional weights: the pass must sum in stream order to stay bit-equal
+        path = str(tmp_graph_file("4 2 10\n0.1 2\n0.2 1\n0.3 4\n3 3\n", "wt.graph"))
+        passes = []
+        monkeypatch.setattr(partitioner, "total_node_weight",
+                            lambda source: passes.append(source) or total_node_weight(source))
+        tree, _ = prepare_tree(path, k=2, base=2, eps=0.25)
+        passes.clear()
+        res = partition_oms(path, tree, RunConfig(eps=0.25))
+        assert passes == []
+        assert res.total_weight == total_node_weight(path)
+        flat = partition_flat(path, 2, RunConfig(eps=0.25))
+        assert len(passes) == 1
+        assert flat.total_weight == res.total_weight
+
     def test_tree_descent_conserves_node_weight(self, tmp_graph_file):
         path = tmp_graph_file("4 0 10\n3\n1\n2\n2\n", "weighted2.graph")
         tree, _ = prepare_tree(str(path), k=2, base=2, eps=0.25)
@@ -262,56 +296,43 @@ class TestDeterminism:
         assert first.counters == second.counters
 
 
-@st.composite
-def metis_graphs(draw, max_n=30):
-    """Random simple graph in any METIS format, parsed from its text.
-
-    Edges come from a seeded random source at a drawn density, so graphs are
-    dense enough for neighbour counts to decide placements. Node and edge
-    weights are drawn when the format flags them; 0.5 keeps fractional edge
-    weights in the mix (exact in binary, so sums agree).
-    """
-    n = draw(st.integers(1, max_n))
-    fmt = draw(st.sampled_from([0, 1, 10, 11]))
-    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
-    rnd = random.Random(draw(st.integers(0, 2**32)))
-    edge_weights = [1, 2, 3, 7, 0.5]
-    adj: list[list[str]] = [[] for _ in range(n)]
-    m = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rnd.random() < density:
-                w = f" {rnd.choice(edge_weights)}" if fmt % 10 == 1 else ""
-                adj[u].append(f"{v + 1}{w}")
-                adj[v].append(f"{u + 1}{w}")
-                m += 1
-    lines = [f"{n} {m} {fmt}"]
-    for u in range(n):
-        node_w = [str(rnd.randint(1, 5))] if fmt >= 10 else []
-        lines.append(" ".join(node_w + adj[u]))
-    return load_graph(io.StringIO("\n".join(lines) + "\n"))
-
-
-# Explicit hierarchies as level lists; synthesized trees as (k, base).
+# Explicit hierarchies as level lists; synthesized trees as (k, base). The
+# last three draw sibling groups wider than WIDE_FANOUT, which the descent
+# scores with numpy: a depth-1 synthesized tree (base >= k), a wide top level
+# over uneven children (base < k), and a wide explicit bottom level alone or
+# under two or three parents.
 tree_shapes = st.one_of(
     st.lists(st.integers(2, 4), min_size=1, max_size=3).map(lambda lv: HierarchySpec(tuple(lv))),
     st.tuples(st.integers(1, 40), st.integers(2, 8)),
+    st.integers(1, 150).flatmap(lambda k: st.tuples(st.just(k), st.integers(max(k, 2), 160))),
+    st.integers(WIDE_FANOUT + 2, 150).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(WIDE_FANOUT + 1, k - 1))
+    ),
+    st.tuples(st.integers(WIDE_FANOUT + 1, 150), st.sampled_from([(), (2,), (3,)])).map(
+        lambda t: HierarchySpec((t[0], *t[1]))
+    ),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    graph=metis_graphs(max_n=40),
     shape=tree_shapes,
     alg=st.sampled_from(["fennel", "ldg", "hashing"]),
     eps=st.sampled_from([0.0, 0.03, 0.5]),
     seed=st.integers(0, 3),
 )
-def test_descent_always_matches_multipass(data, graph, shape, alg, eps, seed):
+def test_descent_always_matches_multipass(data, shape, alg, eps, seed):
     # The descent narrows each neighbour list level by level and resolves
     # children by PE range; the multipass sweeps look neighbours up by block
-    # parent. Equality checks one neighbour count against the other.
+    # parent. Equality checks one neighbour count against the other. Wide
+    # trees get graphs large enough that blocks hold several nodes, so their
+    # scores, not only the capacity gate, decide placements.
+    k = shape.k if isinstance(shape, HierarchySpec) else shape[0]
+    if k <= WIDE_FANOUT:
+        graph = data.draw(metis_graphs(max_n=40))
+    else:
+        graph = data.draw(metis_graphs(min_n=min(2 * k, 300), max_n=300))
     if isinstance(shape, HierarchySpec):
         tree, _ = prepare_tree(graph, hierarchy=shape, eps=eps)
     else:
