@@ -55,12 +55,6 @@ from .partitioner import (
     partition_oms,
     prepare_tree,
 )
-from .scoring import (
-    GAMMA,
-    ScorerConfig,
-    SubproblemView,
-    hashing_assign,
-    select_block,
-)
+from .scoring import GAMMA, hashing_assign, select_block
 
 __version__ = "0.1.0"

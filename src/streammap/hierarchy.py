@@ -20,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 __all__ = [
     "K_LIMIT",
@@ -163,19 +164,10 @@ class MultiSectionTree:
     Children of any block occupy consecutive arena slots.
     """
 
-    def __init__(
-        self,
-        blocks: list[Block],
-        k: int,
-        lmax: int | float,
-        base: int | None = None,
-        levels: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, blocks: list[Block], k: int, lmax: int | float):
         self.blocks = blocks
         self.k = k
         self.lmax = lmax
-        self.base = base
-        self.levels = levels
         self.depth = max(b.depth for b in blocks)
         self._kids: list[list[Block]] = [[blocks[c] for c in b.children] for b in blocks]
 
@@ -217,26 +209,39 @@ def _split_sizes(t: int, parts: int) -> list[int]:
     return [q + 1] * r + [q] * (parts - r)
 
 
-def _add_children(
-    blocks: list[Block], parent: Block, sizes: list[int], lmax: int | float
-) -> list[Block]:
-    kids: list[Block] = []
-    lo = parent.cover_lo
-    for pos, size in enumerate(sizes):
-        b = Block(
-            id=len(blocks),
-            parent=parent.id,
-            depth=parent.depth + 1,
-            cover_lo=lo,
-            cover_hi=lo + size - 1,
-            capacity=size * lmax,
-            pos=pos,
-        )
-        blocks.append(b)
-        parent.children.append(b.id)
-        kids.append(b)
-        lo += size
-    return kids
+def _build_tree(k: int, lmax: int | float, fanout: Callable[[Block], int]) -> MultiSectionTree:
+    """Recursive range splitting of PEs 1..k.
+
+    A block covering t > 1 PEs gets ``fanout(block)`` children over
+    near-equal contiguous subranges (sizes differing by at most one, larger
+    parts first); recursion stops at singletons. Children take consecutive
+    ids in depth-first order, and each block's capacity is t * lmax.
+    """
+    blocks = [Block(id=0, parent=None, depth=0, cover_lo=1, cover_hi=k, capacity=k * lmax)]
+
+    def grow(parent: Block) -> None:
+        t = parent.covered
+        if t == 1:
+            return
+        lo = parent.cover_lo
+        for pos, size in enumerate(_split_sizes(t, fanout(parent))):
+            kid = Block(
+                id=len(blocks),
+                parent=parent.id,
+                depth=parent.depth + 1,
+                cover_lo=lo,
+                cover_hi=lo + size - 1,
+                capacity=size * lmax,
+                pos=pos,
+            )
+            blocks.append(kid)
+            parent.children.append(kid.id)
+            lo += size
+        for c in parent.children:
+            grow(blocks[c])
+
+    grow(blocks[0])
+    return MultiSectionTree(blocks, k=k, lmax=lmax)
 
 
 def build_tree_explicit(spec: HierarchySpec, lmax: int | float) -> MultiSectionTree:
@@ -246,27 +251,13 @@ def build_tree_explicit(spec: HierarchySpec, lmax: int | float) -> MultiSectionT
     down to the k leaves; a block containing t final blocks gets capacity
     t * lmax.
     """
-    k = spec.k
-    blocks = [Block(id=0, parent=None, depth=0, cover_lo=1, cover_hi=k, capacity=k * lmax)]
-
-    def grow(parent: Block) -> None:
-        if parent.depth == spec.ell:
-            return
-        a = spec.levels[spec.ell - 1 - parent.depth]
-        kids = _add_children(blocks, parent, _split_sizes(parent.covered, a), lmax)
-        for kid in kids:
-            grow(kid)
-
-    grow(blocks[0])
-    return MultiSectionTree(blocks, k=k, lmax=lmax, levels=spec.levels)
+    return _build_tree(spec.k, lmax, lambda b: spec.levels[spec.ell - 1 - b.depth])
 
 
 def build_tree_synth(k: int, base: int, lmax: int | float) -> MultiSectionTree:
     """Synthesized tree for arbitrary k via recursive base-b range splitting.
 
-    A block covering t > 1 final blocks gets min(b, t) children over
-    near-equal contiguous subranges (sizes differing by at most one, larger
-    parts first); recursion stops at singletons.
+    A block covering t > 1 final blocks gets min(b, t) children.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -274,18 +265,7 @@ def build_tree_synth(k: int, base: int, lmax: int | float) -> MultiSectionTree:
         raise ValueError(f"k={k} beyond supported {K_LIMIT}")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    blocks = [Block(id=0, parent=None, depth=0, cover_lo=1, cover_hi=k, capacity=k * lmax)]
-
-    def grow(parent: Block) -> None:
-        t = parent.covered
-        if t == 1:
-            return
-        kids = _add_children(blocks, parent, _split_sizes(t, min(base, t)), lmax)
-        for kid in kids:
-            grow(kid)
-
-    grow(blocks[0])
-    return MultiSectionTree(blocks, k=k, lmax=lmax, base=base)
+    return _build_tree(k, lmax, lambda b: min(base, b.covered))
 
 
 def global_alpha(n: int, m: int, k: int) -> float:

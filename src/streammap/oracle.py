@@ -1,10 +1,14 @@
 """Test-only references: exhaustive optima for tiny graphs, pass-count equivalence.
 
 The exhaustive search enumerates every balanced assignment (node 0 pinned to
-block 1 to strip label symmetry) and is the quality floor no streaming run
-can beat. The equivalence check replays one configuration through the
-single-pass descent and the level-per-sweep reference and demands identical
-placements.
+block 1 to strip label symmetry). Its minimum cut, or its minimum
+communication cost J given a hierarchy and distances, is the quality floor no
+streaming run can beat, flat or a tree descent, as long as the run records no
+overflow: an overflowing run lies outside the enumerated set. The
+equivalence check replays one configuration through the single-pass descent
+and the level-per-sweep reference and demands identical placements; a
+different reference configuration, such as another hashing seed, turns it
+into a mutation probe.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ computed from its PE id. ``partition_flat``, the classical baseline that
 scores every node against all k blocks (or hashes it straight to one), is
 the same descent over a depth-1 tree with k leaves.
 
+``RunConfig`` (algorithm, eps, seed, hybrid_h) is the whole run
+configuration. One rule, :meth:`RunConfig.scored_levels`, says which tree
+levels the algorithm scores: the levels at that depth or deeper are hashed.
+Both drivers apply it, and every scalar selection is one
+:func:`~streammap.scoring.select_block` call.
+
 ``multipass_reference`` realizes the same hierarchical split as repeated
 sweeps over the input (one tree level per sweep). Because every decision in
 a sweep depends only on nodes streamed earlier in that same sweep, its output
@@ -36,7 +42,7 @@ from .hierarchy import (
     build_tree_synth,
     compute_lmax,
 )
-from .scoring import WIDE_FANOUT, ScorerConfig, SubproblemView, WideGroup, select_block
+from .scoring import ALGORITHMS, WIDE_FANOUT, WideGroup, select_block
 
 __all__ = [
     "UNASSIGNED",
@@ -81,17 +87,23 @@ class RunConfig:
     eps: float = 0.03
     seed: int = 0
     hybrid_h: int | None = None
-    tie_break: str = "weight-id"
 
     def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected {ALGORITHMS}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
         if self.hybrid_h is not None and self.hybrid_h < 0:
             raise ValueError(f"hybrid_h must be >= 0, got {self.hybrid_h}")
-        ScorerConfig(self.algorithm, self.seed, self.tie_break)  # validates names
 
-    def scorer(self, algorithm: str | None = None) -> ScorerConfig:
-        return ScorerConfig(algorithm or self.algorithm, self.seed, self.tie_break)
+    def scored_levels(self, depth: int) -> int:
+        """How many top levels of a depth-``depth`` tree are scored; the
+        levels below them are hashed."""
+        if self.hybrid_h is not None and self.hybrid_h > depth:
+            raise ValueError(f"hybrid_h={self.hybrid_h} exceeds tree depth {depth}")
+        if self.algorithm == "hashing":
+            return 0
+        return depth if self.hybrid_h is None else self.hybrid_h
 
 
 @dataclass
@@ -158,11 +170,6 @@ def prepare_tree(
 # ----------------------------------------------------------------------------
 
 
-def _check_hybrid(config: RunConfig, depth: int) -> None:
-    if config.hybrid_h is not None and config.hybrid_h > depth:
-        raise ValueError(f"hybrid_h={config.hybrid_h} exceeds tree depth {depth}")
-
-
 def _result_from_tree(
     tree: MultiSectionTree,
     assignment: list[int],
@@ -199,12 +206,10 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
     node weight is summed during the pass, in stream order.
     """
     header = peek_header(source)
-    _check_hybrid(config, tree.depth)
+    scored_levels = config.scored_levels(tree.depth)
+    algorithm = config.algorithm
+    seed = config.seed
     tree.reset_weights()
-    main_cfg = config.scorer()
-    hash_cfg = config.scorer("hashing")
-    hybrid_h = config.hybrid_h
-    scored = hybrid_h != 0 and main_cfg.algorithm != "hashing"
     counters = RunCounters()
     assignment = [UNASSIGNED] * header.n
     wide: dict[int, WideGroup] = {}  # parent block id -> numpy form of its children
@@ -218,7 +223,7 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
         counters.edges_scanned += len(rec.neighbors)
         nbr_pes: list[int] = []
         nbr_ws: list[int | float] = []
-        if scored:
+        if scored_levels:
             for v, w in rec.neighbors:
                 pe = assignment[v]
                 if pe != UNASSIGNED:
@@ -228,12 +233,9 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
         depth = 0
         while kids := tree.children_of(block):
             s = len(kids)
-            cfg = main_cfg if (hybrid_h is None or depth < hybrid_h) else hash_cfg
-            if cfg.algorithm == "hashing":
+            if depth >= scored_levels:
                 # levels below a hashed one hash too, so counts are never read
-                j, overflow = select_block(
-                    SubproblemView(kids, (), cw), cfg, node_id=nid, parent_id=block.id
-                )
+                j, overflow = select_block(kids, (), cw, "hashing", seed, nid, parent_id=block.id)
                 counters.hash_assignments += 1
             else:
                 # Siblings split the parent's range by _split_sizes: r children
@@ -245,7 +247,7 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
                 if s > WIDE_FANOUT:
                     group = wide.get(block.id)
                     if group is None:
-                        group = wide[block.id] = WideGroup(kids, cfg)
+                        group = wide[block.id] = WideGroup(kids, algorithm)
                     idx = [(pe - lo) // q1 if pe < mid else r + (pe - mid) // q for pe in nbr_pes]
                     j, overflow = group.select(idx, nbr_ws, cw)
                 else:
@@ -257,7 +259,7 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
                         else:
                             counts[r + (pe - mid) // q] += nbr_ws[t]
                     j, overflow = select_block(
-                        SubproblemView(kids, counts, cw), cfg, node_id=nid, parent_id=block.id
+                        kids, counts, cw, algorithm, seed, nid, parent_id=block.id
                     )
                 counters.score_evaluations += s
                 chosen = kids[j]
@@ -275,37 +277,26 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
     return _result_from_tree(tree, assignment, total, counters, config, "oms", seconds)
 
 
-def multipass_reference(
-    source,
-    tree_or_spec: MultiSectionTree | HierarchySpec,
-    config: RunConfig,
-) -> PartitionResult:
+def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
     """Hierarchical split as one full sweep per tree level.
 
     Sweep d refines every node one level deeper; nodes already sitting on a
-    leaf carry their placement through later sweeps. Requires a re-openable
-    source.
+    leaf carry their placement through later sweeps. ``tree`` comes from
+    :func:`prepare_tree`, as for :func:`partition_oms`. Requires a
+    re-openable source.
     """
     header = peek_header(source)
     total = _resolve_total(source, header)
-    if isinstance(tree_or_spec, HierarchySpec):
-        lmax = compute_lmax(total, tree_or_spec.k, config.eps)
-        tree = build_tree_explicit(tree_or_spec, lmax)
-        tree.set_alphas(header.n, header.m)
-    else:
-        tree = tree_or_spec
-    _check_hybrid(config, tree.depth)
+    scored_levels = config.scored_levels(tree.depth)
     tree.reset_weights()
-    main_cfg = config.scorer()
-    hash_cfg = config.scorer("hashing")
     counters = RunCounters()
     blocks = tree.blocks
     n = header.n
     current = [0] * n  # block id per node; starts at the root
     started = time.perf_counter()
     for depth in range(tree.depth):
-        cfg = main_cfg if (config.hybrid_h is None or depth < config.hybrid_h) else hash_cfg
-        hashed = cfg.algorithm == "hashing"
+        hashed = depth >= scored_levels
+        algorithm = "hashing" if hashed else config.algorithm
         placed = [-1] * n  # this sweep's block id, -1 until the node passes by
         for rec in open_stream(source):
             counters.nodes_processed += 1
@@ -324,7 +315,7 @@ def multipass_reference(
                 if b >= 0 and blocks[b].parent == pid:
                     counts[blocks[b].pos] += w
             j, overflow = select_block(
-                SubproblemView(kids, counts, rec.weight), cfg, node_id=nid, parent_id=pid
+                kids, counts, rec.weight, algorithm, config.seed, nid, parent_id=pid
             )
             if hashed:
                 counters.hash_assignments += 1

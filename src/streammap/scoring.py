@@ -1,6 +1,7 @@
 """Candidate-block scoring for one streamed node within one subproblem.
 
-Three assignment rules share one selection contract:
+:func:`select_block` picks one of a block's children for the node under the
+rule its ``algorithm`` string names, one of ``ALGORITHMS``:
 
 * additive-penalty greedy ("fennel"): neighbors_in_block - alpha * gamma *
   weight^(gamma-1) with gamma fixed at 3/2
@@ -12,7 +13,8 @@ Three assignment rules share one selection contract:
 A candidate is open when the node still fits under its capacity. Selection
 only ever returns a closed candidate when every sibling is closed, which is
 reported as an overflow event. Ties break toward the lighter block, then the
-lower block id.
+lower block id; there is no other tie rule. The descent decides which rule a
+tree level uses (see ``RunConfig.scored_levels``).
 
 Sibling groups wider than ``WIDE_FANOUT``, such as a flat k-way split, are
 scored with numpy by :class:`WideGroup`, to the same result.
@@ -21,7 +23,6 @@ scored with numpy by :class:`WideGroup`, to the same result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,58 +30,21 @@ import numpy as np
 from .hierarchy import Block
 
 __all__ = [
+    "ALGORITHMS",
     "GAMMA",
     "NEG_INF",
-    "ScorerConfig",
-    "SubproblemView",
     "WIDE_FANOUT",
     "WideGroup",
     "hashing_assign",
     "select_block",
 ]
 
+ALGORITHMS = ("fennel", "ldg", "hashing")
 GAMMA = 1.5
 NEG_INF = float("-inf")
 # Scored sibling groups wider than this go through WideGroup; the scalar loop
 # and numpy cost about the same near 48 candidates.
 WIDE_FANOUT = 64
-
-_ALGORITHMS = ("fennel", "ldg", "hashing")
-_TIE_BREAKS = ("weight-id", "id")
-
-
-@dataclass(frozen=True)
-class ScorerConfig:
-    """Which rule to apply, the hashing seed, and the tie-break rule.
-
-    The "id" tie-break exists for mutation tests that need a deliberately
-    different deterministic rule; production paths use "weight-id".
-    """
-
-    algorithm: str = "fennel"
-    seed: int = 0
-    tie_break: str = "weight-id"
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected {_ALGORITHMS}")
-        if self.tie_break not in _TIE_BREAKS:
-            raise ValueError(f"unknown tie-break {self.tie_break!r}; expected {_TIE_BREAKS}")
-
-
-@dataclass
-class SubproblemView:
-    """Sibling candidates for one placement decision.
-
-    ``neighbor_counts[j]`` is the accumulated edge weight from the streamed
-    node into candidate j's subtree; ``node_weight`` is the weight being
-    placed.
-    """
-
-    blocks: Sequence[Block]
-    neighbor_counts: Sequence[float]
-    node_weight: int | float
-
 
 _M64 = (1 << 64) - 1
 
@@ -119,26 +83,30 @@ def _min_weight_index(blocks: Sequence[Block]) -> int:
 
 
 def select_block(
-    view: SubproblemView,
-    config: ScorerConfig,
+    blocks: Sequence[Block],
+    counts: Sequence[float],
+    node_weight: int | float,
+    algorithm: str,
+    seed: int = 0,
     node_id: int = 0,
     parent_id: int = 0,
 ) -> tuple[int, bool]:
     """Pick a candidate index; the flag reports an all-candidates-full overflow.
 
-    Scored rules take the argmax over open candidates with deterministic tie
-    breaking. Hashing takes the hashed index when open, else probes forward
+    ``counts[j]`` is the edge weight from the node into candidate j's
+    subtree; hashing never reads it. Scored rules take the argmax over open
+    candidates, ties going to the lighter block, then the lower block id.
+    Hashing takes the hashed index when open, else probes forward
     cyclically. When nothing is open the lightest candidate wins and the
     overflow flag is set.
     """
-    blocks = view.blocks
     s = len(blocks)
     if s == 0:
         raise ValueError("empty candidate set")
-    cw = view.node_weight
+    cw = node_weight
 
-    if config.algorithm == "hashing":
-        start = hashing_assign(node_id, s, config.seed, parent_id)
+    if algorithm == "hashing":
+        start = hashing_assign(node_id, s, seed, parent_id)
         for step in range(s):
             j = (start + step) % s
             b = blocks[j]
@@ -146,9 +114,7 @@ def select_block(
                 return j, False
         return _min_weight_index(blocks), True
 
-    counts = view.neighbor_counts
-    fennel = config.algorithm == "fennel"
-    by_weight = config.tie_break == "weight-id"
+    fennel = algorithm == "fennel"
     best_j = -1
     best_score = NEG_INF
     best_w: int | float = 0
@@ -162,28 +128,24 @@ def select_block(
             score = counts[j] - (b.alpha * GAMMA) * math.sqrt(w)
         else:
             score = counts[j] * (1.0 - w / b.capacity)
-        if best_j < 0 or score > best_score:
-            better = True
-        elif score != best_score:
-            better = False
-        elif by_weight:
-            better = w < best_w or (w == best_w and b.id < best_id)
-        else:
-            better = b.id < best_id
-        if better:
+        if (
+            best_j < 0
+            or score > best_score
+            or (score == best_score and (w < best_w or (w == best_w and b.id < best_id)))
+        ):
             best_j, best_score, best_w, best_id = j, score, w, b.id
     if best_j < 0:
         return _min_weight_index(blocks), True
     return best_j, False
 
 
-def _vector_select(scores: np.ndarray, weights: np.ndarray, tie_break: str) -> int:
-    """Argmax with the same tie-break semantics as the scalar selection."""
+def _vector_select(scores: np.ndarray, weights: np.ndarray) -> int:
+    """Argmax with the scalar selection's tie-break; -1 when nothing is open."""
     best = scores.max()
     if best == NEG_INF:
         return -1
     ties = np.flatnonzero(scores == best)
-    if ties.shape[0] == 1 or tie_break == "id":
+    if ties.shape[0] == 1:
         return int(ties[0])
     order = np.lexsort((ties, weights[ties]))
     return int(ties[order[0]])
@@ -199,9 +161,9 @@ class WideGroup:
     each placed node to its block.
     """
 
-    def __init__(self, blocks: Sequence[Block], config: ScorerConfig):
+    def __init__(self, blocks: Sequence[Block], algorithm: str):
         self.blocks = blocks
-        self.config = config
+        self.fennel = algorithm == "fennel"
         self.weights = np.array([b.weight for b in blocks], dtype=np.float64)
         self.capacity = np.array([b.capacity for b in blocks], dtype=np.float64)
         self.term = np.array([self._term(b, b.weight) for b in blocks], dtype=np.float64)
@@ -210,7 +172,7 @@ class WideGroup:
         self.least_capacity = min(b.capacity for b in blocks)
 
     def _term(self, b: Block, w: int | float) -> float:
-        if self.config.algorithm == "fennel":
+        if self.fennel:
             return (b.alpha * GAMMA) * math.sqrt(w)
         return 1.0 - w / b.capacity
 
@@ -221,7 +183,7 @@ class WideGroup:
         for c, w in zip(child_idx, child_ws):
             counts[c] += w
         weights = self.weights
-        if self.config.algorithm == "fennel":
+        if self.fennel:
             scores = counts - self.term
         else:
             scores = counts * self.term
@@ -229,7 +191,7 @@ class WideGroup:
         # under the smallest capacity, every candidate is open
         if self.heaviest + node_weight > self.least_capacity:
             scores[weights + node_weight > self.capacity] = NEG_INF
-        j = _vector_select(scores, weights, self.config.tie_break)
+        j = _vector_select(scores, weights)
         overflow = j < 0
         if overflow:
             j = int(np.lexsort((np.arange(weights.shape[0]), weights))[0])

@@ -8,6 +8,7 @@ from streammap.hierarchy import parse_distances, parse_hierarchy
 from streammap.metrics import evaluate
 from streammap.oracle import TinyInstance, brute_force_best, check_equivalence
 from streammap.partitioner import RunConfig, partition_flat, partition_oms, prepare_tree
+from streammap.scoring import hashing_assign
 
 
 class TestBruteForce:
@@ -69,6 +70,55 @@ class TestStreamingNeverBeatsOptimum:
                 cut_oms = evaluate(inst.graph, oms.assignment, k=inst.k).edge_cut
                 assert cut_oms >= best
 
+    # Only runs without overflow are compared: an overflowing run can land
+    # outside the balanced assignments the enumeration ranges over.
+    @pytest.mark.parametrize("alg", ["fennel", "ldg", "hashing"])
+    def test_tree_descent_cut_at_least_optimal(self, alg):
+        graphs = [
+            (ring(8), 0.03),
+            (path_graph(9), 0.03),
+            (complete_graph(6), 0.5),
+            (graph_from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 6)]), 0.3),
+        ]
+        # explicit 2:2, then synthesized (k, base)
+        shapes = [parse_hierarchy("2:2"), (3, 3), (4, 3), (3, 4), (4, 4)]
+        for shape in shapes:
+            compared = 0
+            for graph, eps in graphs:
+                if isinstance(shape, tuple):
+                    k = shape[0]
+                    tree, _ = prepare_tree(graph, k=k, base=shape[1], eps=eps)
+                else:
+                    k = shape.k
+                    tree, _ = prepare_tree(graph, hierarchy=shape, eps=eps)
+                best = brute_force_best(TinyInstance(graph, k=k, eps=eps))
+                for hybrid in (None, 1):
+                    config = RunConfig(alg, eps=eps, seed=1, hybrid_h=hybrid)
+                    res = partition_oms(graph, tree, config)
+                    if res.counters.overflow_events:
+                        continue
+                    assert evaluate(graph, res.assignment, k=k).edge_cut >= best
+                    compared += 1
+            assert compared > 0, shape
+
+    @pytest.mark.parametrize("alg", ["fennel", "ldg", "hashing"])
+    def test_mapping_cost_at_least_optimal(self, alg):
+        spec = parse_hierarchy("2:2")
+        dist = parse_distances("1:10")
+        compared = 0
+        for graph, eps in ((path_graph(8), 0.0), (ring(8), 0.03), (complete_graph(6), 0.5)):
+            inst = TinyInstance(graph, k=4, eps=eps, hierarchy=spec, distances=dist)
+            best = brute_force_best(inst, "J")
+            tree, _ = prepare_tree(graph, hierarchy=spec, eps=eps)
+            for hybrid in (None, 1):
+                res = partition_oms(graph, tree, RunConfig(alg, eps=eps, seed=1, hybrid_h=hybrid))
+                if res.counters.overflow_events:
+                    continue
+                report = evaluate(graph, res.assignment, k=4, hierarchy=spec, distances=dist)
+                assert report.mapping_cost >= best
+                compared += 1
+        assert compared > 0
+
 
 class TestCheckEquivalence:
     def test_deterministic_config_passes(self):
@@ -84,14 +134,17 @@ class TestCheckEquivalence:
         ok, _ = check_equivalence(g, tree, RunConfig(algorithm="ldg"))
         assert ok
 
-    def test_perturbed_tie_break_diverges_at_first_tie(self):
-        # node 0 -> block 1; node 1 joins it; node 2 is isolated, so scores tie
-        # at zero: the weight rule goes to the empty block, the id rule stays
-        g = graph_from_edges(3, [(0, 1)])
+    def test_perturbed_seed_diverges_at_first_differing_hash(self):
+        # eps=2 leaves room for every node in either block, so each node lands
+        # where it hashes under the root (block id 0): seed 0 and seed 2 agree
+        # on nodes 0-3 and first differ at node 4
+        g = path_graph(6)
+        assert [hashing_assign(i, 2, 0) for i in range(6)] == [0, 0, 1, 0, 1, 1]
+        assert [hashing_assign(i, 2, 2) for i in range(6)] == [0, 0, 1, 0, 0, 0]
         tree, _ = prepare_tree(g, hierarchy=parse_hierarchy("2"), eps=2.0)
-        mutated = RunConfig(algorithm="ldg", tie_break="id", eps=2.0)
+        mutated = RunConfig(algorithm="hashing", seed=2, eps=2.0)
         ok, first = check_equivalence(
-            g, tree, RunConfig(algorithm="ldg", eps=2.0), reference_config=mutated
+            g, tree, RunConfig(algorithm="hashing", eps=2.0), reference_config=mutated
         )
         assert not ok
-        assert first == 2
+        assert first == 4

@@ -17,13 +17,7 @@ from streammap.partitioner import (
     prepare_tree,
 )
 from streammap.scoring import _vector_select  # noqa: PLC2701 (vector/scalar parity)
-from streammap.scoring import (
-    NEG_INF,
-    WIDE_FANOUT,
-    ScorerConfig,
-    SubproblemView,
-    select_block,
-)
+from streammap.scoring import NEG_INF, WIDE_FANOUT, select_block
 
 
 class TestFlat:
@@ -170,14 +164,16 @@ class TestMultipass:
     def test_single_level_equals_flat(self):
         g = random_geometric(250, seed=7)
         cfg = RunConfig(algorithm="ldg")
-        ref = multipass_reference(g, parse_hierarchy("5"), cfg)
+        tree, _ = prepare_tree(g, hierarchy=parse_hierarchy("5"), eps=cfg.eps)
+        ref = multipass_reference(g, tree, cfg)
         flat = partition_flat(g, 5, cfg)
         assert ref.assignment.tolist() == flat.assignment.tolist()
 
     def test_matches_descent_on_path_trace(self):
         g = path_graph(8)
         cfg = RunConfig(algorithm="ldg", eps=0.0)
-        ref = multipass_reference(g, parse_hierarchy("2:2"), cfg)
+        tree, _ = prepare_tree(g, hierarchy=parse_hierarchy("2:2"), eps=cfg.eps)
+        ref = multipass_reference(g, tree, cfg)
         assert ref.assignment.tolist() == [1, 1, 2, 2, 3, 3, 4, 4]
 
     @pytest.mark.parametrize("alg", ["fennel", "ldg", "hashing"])
@@ -209,9 +205,8 @@ class TestMultipass:
 
 class TestVectorScalarParity:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 9), alg=st.sampled_from(["fennel", "ldg"]),
-           tie=st.sampled_from(["weight-id", "id"]))
-    def test_vector_select_matches_scalar(self, data, k, alg, tie):
+    @given(data=st.data(), k=st.integers(1, 9), alg=st.sampled_from(["fennel", "ldg"]))
+    def test_vector_select_matches_scalar(self, data, k, alg):
         weights = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
         counts = data.draw(
             st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5]), min_size=k, max_size=k)
@@ -223,8 +218,7 @@ class TestVectorScalarParity:
                   capacity=cap, weight=weights[j], alpha=alpha)
             for j in range(k)
         ]
-        view = SubproblemView(blocks, counts, 1)
-        sj, sovf = select_block(view, ScorerConfig(alg, tie_break=tie))
+        sj, sovf = select_block(blocks, counts, 1, alg)
 
         w = np.asarray(weights, dtype=np.float64)
         if alg == "fennel":
@@ -232,7 +226,7 @@ class TestVectorScalarParity:
         else:
             scores = np.asarray(counts) * (1.0 - w / cap)
         scores[w + 1 > cap] = NEG_INF
-        vj = _vector_select(scores, w, tie)
+        vj = _vector_select(scores, w)
         if vj < 0:
             vovf = True
             vj = int(np.lexsort((np.arange(k), w))[0])
