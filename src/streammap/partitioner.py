@@ -9,28 +9,39 @@ computed from its PE id. ``partition_flat``, the classical baseline that
 scores every node against all k blocks (or hashes it straight to one), is
 the same descent over a depth-1 tree with k leaves.
 
+The descent runs in a small C kernel, ``_descent.c``, which places a chunk
+of streamed nodes per call. It is compiled with the system ``gcc`` on first
+use and cached beside this module's bytecode; a failed build raises OSError.
+
 ``RunConfig`` (algorithm, eps, seed, hybrid_h) is the whole run
 configuration. One rule, :meth:`RunConfig.scored_levels`, says which tree
 levels the algorithm scores: the levels at that depth or deeper are hashed.
-Both drivers apply it, and every scalar selection is one
-:func:`~streammap.scoring.select_block` call.
+Both drivers apply it. The kernel repeats the arithmetic of
+:func:`~streammap.scoring.select_block`, the one scalar selection call.
 
 ``multipass_reference`` realizes the same hierarchical split as repeated
-sweeps over the input (one tree level per sweep). Because every decision in
-a sweep depends only on nodes streamed earlier in that same sweep, its output
+sweeps over the input (one tree level per sweep), in Python, calling
+``select_block`` for every selection. Because every decision in a sweep
+depends only on nodes streamed earlier in that same sweep, its output
 matches the single-pass descent node for node; the test suite leans on this
-equivalence heavily.
+equivalence heavily, and it is what holds the kernel to the Python rule.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
+import zlib
 from dataclasses import dataclass
+from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 
 from .graph_stream import (
     GraphHeader,
+    StreamFormatError,
     open_stream,
     peek_header,
     total_node_weight,
@@ -42,7 +53,7 @@ from .hierarchy import (
     build_tree_synth,
     compute_lmax,
 )
-from .scoring import ALGORITHMS, WIDE_FANOUT, WideGroup, select_block
+from .scoring import ALGORITHMS, select_block
 
 __all__ = [
     "UNASSIGNED",
@@ -56,6 +67,19 @@ __all__ = [
 ]
 
 UNASSIGNED = 0  # PE ids are 1-based; 0 marks a node not yet placed
+
+# Nodes per kernel call. Larger chunks save little time and grow peak memory
+# with the chunk's records and arrays (16384 nodes of rgg 100k: +16 MB).
+CHUNK_NODES = 2048
+# One adjacency entry as the kernel reads it (its Edge struct).
+_EDGE = np.dtype([("node", np.int64), ("weight", np.float64)])
+
+KERNEL_SOURCE = Path(__file__).with_name("_descent.c")
+KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+# No -ffast-math or -march=native: contracted or reassociated arithmetic would
+# round differently from Python's doubles and break equality with
+# multipass_reference.
+KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass
@@ -172,7 +196,7 @@ def prepare_tree(
 
 def _result_from_tree(
     tree: MultiSectionTree,
-    assignment: list[int],
+    assignment: list[int] | np.ndarray,
     total: int | float,
     counters: RunCounters,
     config: RunConfig,
@@ -197,84 +221,111 @@ def _result_from_tree(
     )
 
 
+@functools.cache
+def _load_kernel():
+    """The compiled descent kernel, built on first use.
+
+    The library is cached as ``KERNEL_CACHE/_descent-<crc32 of the source>.so``,
+    so an edited source builds anew and an unchanged one is loaded as is.
+    Raises OSError, naming the compiler command, when the build fails.
+    """
+    import ctypes
+
+    source = KERNEL_SOURCE.read_bytes()
+    lib_path = KERNEL_CACHE / f"_descent-{zlib.crc32(source):08x}.so"
+    if not lib_path.exists():
+        _build_kernel(lib_path)
+    lib = ctypes.CDLL(str(lib_path))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.place_chunk.argtypes = (
+        [ptr] * 8 + [i64, i64, ctypes.c_int, ctypes.c_uint64, i64, i64] + [ptr] * 6
+    )
+    lib.place_chunk.restype = ctypes.c_int
+    return lib
+
+
+def _build_kernel(lib_path: Path) -> None:
+    import subprocess
+
+    command = [*KERNEL_CC, str(KERNEL_SOURCE), "-lm"]
+    # a private name, then an atomic rename: concurrent builders never load a
+    # half-written library
+    tmp = lib_path.with_name(f"{lib_path.stem}.{os.getpid()}.tmp")
+    try:
+        KERNEL_CACHE.mkdir(exist_ok=True)
+        done = subprocess.run([*command, "-o", str(tmp)], capture_output=True, text=True)
+        if done.returncode != 0:
+            lines = done.stderr.strip().splitlines() or [f"exit status {done.returncode}"]
+            raise OSError(lines[0])
+        os.replace(tmp, lib_path)
+    except OSError as exc:
+        raise OSError(f"cannot build the descent kernel with `{' '.join(command)}`: {exc}") from None
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
     """Single-pass recursive multi-section over ``tree``.
 
-    Each node descends from the root to a leaf, which is its PE. Resets tree
-    weights, so a tree can be reused across runs. Candidate penalty
-    constants must already be stamped (see :func:`prepare_tree`). The total
-    node weight is summed during the pass, in stream order.
+    Each node descends from the root to a leaf, which is its PE. The descent
+    runs in the compiled kernel (``_descent.c``), one call per chunk of
+    ``CHUNK_NODES`` streamed nodes; it makes :func:`select_block`'s decisions
+    bit for bit. Resets tree weights, so a tree can be reused across runs,
+    and leaves each block's final weight in ``Block.weight``. Candidate
+    penalty constants must already be stamped (see :func:`prepare_tree`).
+    The total node weight is summed during the pass, in stream order.
     """
     header = peek_header(source)
+    n = header.n
     scored_levels = config.scored_levels(tree.depth)
-    algorithm = config.algorithm
-    seed = config.seed
-    tree.reset_weights()
-    counters = RunCounters()
-    assignment = [UNASSIGNED] * header.n
-    wide: dict[int, WideGroup] = {}  # parent block id -> numpy form of its children
-    total: int | float = 0
+    fennel = config.algorithm == "fennel"
+    lib = _load_kernel()
+    blocks = tree.blocks
+    nb = len(blocks)
+    first_kid = np.fromiter((b.children[0] if b.children else 0 for b in blocks), np.int64, nb)
+    kids = np.fromiter((len(b.children) for b in blocks), np.int64, nb)
+    lo = np.fromiter((b.cover_lo for b in blocks), np.int64, nb)
+    hi = np.fromiter((b.cover_hi for b in blocks), np.int64, nb)
+    capacity = np.fromiter((b.capacity for b in blocks), np.float64, nb)
+    alpha = np.fromiter((b.alpha for b in blocks), np.float64, nb)
+    weight = np.zeros(nb)
+    # each block's penalty term at weight 0: fennel's alpha * 1.5 * sqrt(0),
+    # ldg's 1 - 0 / capacity; the kernel keeps it current as weights grow
+    term = np.full(nb, 0.0 if fennel else 1.0)
+    tree_args = (first_kid.ctypes.data, kids.ctypes.data, lo.ctypes.data, hi.ctypes.data,
+                 capacity.ctypes.data, alpha.ctypes.data, weight.ctypes.data, term.ctypes.data,
+                 int(kids.max()), scored_levels, fennel, config.seed % 2**64)
+    assignment = np.zeros(n, dtype=np.int32)
+    counts = np.zeros(5, dtype=np.int64)  # RunCounters' fields, in order
+    total = np.zeros(1)
+    run_args = (assignment.ctypes.data, counts.ctypes.data, total.ctypes.data)
+    placed = 0
+    ints = True  # every node weight so far is an int, so Python's sums would be ints
     started = time.perf_counter()
-    for rec in open_stream(source):
-        cw = rec.weight
-        nid = rec.id
-        total += cw
-        counters.nodes_processed += 1
-        counters.edges_scanned += len(rec.neighbors)
-        nbr_pes: list[int] = []
-        nbr_ws: list[int | float] = []
-        if scored_levels:
-            for v, w in rec.neighbors:
-                pe = assignment[v]
-                if pe != UNASSIGNED:
-                    nbr_pes.append(pe)
-                    nbr_ws.append(w)
-        block = tree.root
-        depth = 0
-        while kids := tree.children_of(block):
-            s = len(kids)
-            if depth >= scored_levels:
-                # levels below a hashed one hash too, so counts are never read
-                j, overflow = select_block(kids, (), cw, "hashing", seed, nid, parent_id=block.id)
-                counters.hash_assignments += 1
-            else:
-                # Siblings split the parent's range by _split_sizes: r children
-                # of q+1 PEs, then children of q PEs.
-                lo = block.cover_lo
-                q, r = divmod(block.cover_hi - lo + 1, s)
-                q1 = q + 1
-                mid = lo + r * q1
-                if s > WIDE_FANOUT:
-                    group = wide.get(block.id)
-                    if group is None:
-                        group = wide[block.id] = WideGroup(kids, algorithm)
-                    idx = [(pe - lo) // q1 if pe < mid else r + (pe - mid) // q for pe in nbr_pes]
-                    j, overflow = group.select(idx, nbr_ws, cw)
-                else:
-                    counts = [0.0] * s
-                    for t in range(len(nbr_pes)):
-                        pe = nbr_pes[t]
-                        if pe < mid:
-                            counts[(pe - lo) // q1] += nbr_ws[t]
-                        else:
-                            counts[r + (pe - mid) // q] += nbr_ws[t]
-                    j, overflow = select_block(
-                        kids, counts, cw, algorithm, seed, nid, parent_id=block.id
-                    )
-                counters.score_evaluations += s
-                chosen = kids[j]
-                if nbr_pes and chosen.children:
-                    lo, hi = chosen.cover_lo, chosen.cover_hi
-                    nbr_ws = [w for pe, w in zip(nbr_pes, nbr_ws) if lo <= pe <= hi]
-                    nbr_pes = [pe for pe in nbr_pes if lo <= pe <= hi]
-            if overflow:
-                counters.overflow_events += 1
-            block = kids[j]
-            block.weight += cw
-            depth += 1
-        assignment[nid] = block.cover_lo
+    records = iter(open_stream(source))
+    while chunk := list(islice(records, CHUNK_NODES)):
+        count = len(chunk)
+        if placed + count > n:
+            raise StreamFormatError(f"more records than n={n}")
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(r.neighbors) for r in chunk), np.int64, count), out=indptr[1:])
+        adj = np.fromiter(chain.from_iterable(r.neighbors for r in chunk), _EDGE, int(indptr[-1]))
+        if adj.shape[0] and not (0 <= adj["node"].min() and adj["node"].max() < n):
+            raise StreamFormatError(f"a neighbour of nodes {placed}..{placed + count - 1} "
+                                    f"lies outside [0, {n})")
+        node_w = np.fromiter((r.weight for r in chunk), np.float64, count)
+        ints = ints and all(isinstance(r.weight, int) for r in chunk)
+        if lib.place_chunk(*tree_args, placed, count, indptr.ctypes.data, adj.ctypes.data,
+                           node_w.ctypes.data, *run_args):
+            raise MemoryError("descent kernel could not allocate its scratch buffers")
+        placed += count
     seconds = time.perf_counter() - started
-    return _result_from_tree(tree, assignment, total, counters, config, "oms", seconds)
+    cast = int if ints else float
+    for b, w in zip(blocks, weight.tolist()):
+        b.weight = cast(w)
+    counters = RunCounters(*(int(c) for c in counts))
+    return _result_from_tree(tree, assignment, cast(total[0]), counters, config, "oms", seconds)
 
 
 def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
@@ -335,10 +386,10 @@ def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> Pa
 def partition_flat(source, k: int, config: RunConfig) -> PartitionResult:
     """Classical one-pass k-way partitioning: the descent of a depth-1 tree.
 
-    Scored rules evaluate all k blocks per node (with numpy once k exceeds
-    ``WIDE_FANOUT``); hashing places each node with a single hash plus a
-    forward probe when its target is full. At k=1 the tree is its root
-    alone, so nodes are placed without any selection being counted.
+    Scored rules evaluate all k blocks per node; hashing places each node
+    with a single hash plus a forward probe when its target is full. At k=1
+    the tree is its root alone, so nodes are placed without any selection
+    being counted.
     """
     tree, _ = prepare_tree(source, k=k, base=max(k, 2), eps=config.eps)
     result = partition_oms(source, tree, config)

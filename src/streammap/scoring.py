@@ -16,8 +16,10 @@ reported as an overflow event. Ties break toward the lighter block, then the
 lower block id; there is no other tie rule. The descent decides which rule a
 tree level uses (see ``RunConfig.scored_levels``).
 
-Sibling groups wider than ``WIDE_FANOUT``, such as a flat k-way split, are
-scored with numpy by :class:`WideGroup`, to the same result.
+This module is the rule's Python statement. ``multipass_reference`` scores
+with it, and the compiled descent behind ``partition_oms`` (``_descent.c``)
+repeats its arithmetic operation for operation, which the tests check by
+comparing the two drivers.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .hierarchy import Block
 
 __all__ = [
     "ALGORITHMS",
     "GAMMA",
     "NEG_INF",
-    "WIDE_FANOUT",
-    "WideGroup",
     "hashing_assign",
     "select_block",
 ]
@@ -42,9 +40,6 @@ __all__ = [
 ALGORITHMS = ("fennel", "ldg", "hashing")
 GAMMA = 1.5
 NEG_INF = float("-inf")
-# Scored sibling groups wider than this go through WideGroup; the scalar loop
-# and numpy cost about the same near 48 candidates.
-WIDE_FANOUT = 64
 
 _M64 = (1 << 64) - 1
 
@@ -98,8 +93,11 @@ def select_block(
     candidates, ties going to the lighter block, then the lower block id.
     Hashing takes the hashed index when open, else probes forward
     cyclically. When nothing is open the lightest candidate wins and the
-    overflow flag is set.
+    overflow flag is set. An ``algorithm`` outside ``ALGORITHMS`` raises
+    ValueError.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected {ALGORITHMS}")
     s = len(blocks)
     if s == 0:
         raise ValueError("empty candidate set")
@@ -137,69 +135,3 @@ def select_block(
     if best_j < 0:
         return _min_weight_index(blocks), True
     return best_j, False
-
-
-def _vector_select(scores: np.ndarray, weights: np.ndarray) -> int:
-    """Argmax with the scalar selection's tie-break; -1 when nothing is open."""
-    best = scores.max()
-    if best == NEG_INF:
-        return -1
-    ties = np.flatnonzero(scores == best)
-    if ties.shape[0] == 1:
-        return int(ties[0])
-    order = np.lexsort((ties, weights[ties]))
-    return int(ties[order[0]])
-
-
-class WideGroup:
-    """Numpy form of one wide sibling group under a scored rule.
-
-    Each candidate's weight term (fennel's ``alpha * GAMMA * sqrt(w)``, ldg's
-    ``1 - w / capacity``) is recomputed with the scalar expression only when
-    that candidate's weight changes, so scores equal :func:`select_block`'s
-    bit for bit. ``weights`` copies the blocks' weights; the caller still adds
-    each placed node to its block.
-    """
-
-    def __init__(self, blocks: Sequence[Block], algorithm: str):
-        self.blocks = blocks
-        self.fennel = algorithm == "fennel"
-        self.weights = np.array([b.weight for b in blocks], dtype=np.float64)
-        self.capacity = np.array([b.capacity for b in blocks], dtype=np.float64)
-        self.term = np.array([self._term(b, b.weight) for b in blocks], dtype=np.float64)
-        self.counts = np.zeros(len(blocks))  # zero between calls
-        self.heaviest = max(b.weight for b in blocks)
-        self.least_capacity = min(b.capacity for b in blocks)
-
-    def _term(self, b: Block, w: int | float) -> float:
-        if self.fennel:
-            return (b.alpha * GAMMA) * math.sqrt(w)
-        return 1.0 - w / b.capacity
-
-    def select(self, child_idx: list[int], child_ws: list, node_weight) -> tuple[int, bool]:
-        """:func:`select_block` for this group; the node's placed neighbours
-        come as candidate indices and edge weights, in stream order."""
-        counts = self.counts
-        for c, w in zip(child_idx, child_ws):
-            counts[c] += w
-        weights = self.weights
-        if self.fennel:
-            scores = counts - self.term
-        else:
-            scores = counts * self.term
-        # rounding is monotone, so when the heaviest candidate takes the node
-        # under the smallest capacity, every candidate is open
-        if self.heaviest + node_weight > self.least_capacity:
-            scores[weights + node_weight > self.capacity] = NEG_INF
-        j = _vector_select(scores, weights)
-        overflow = j < 0
-        if overflow:
-            j = int(np.lexsort((np.arange(weights.shape[0]), weights))[0])
-        w = weights[j] + node_weight
-        weights[j] = w
-        if w > self.heaviest:
-            self.heaviest = w
-        self.term[j] = self._term(self.blocks[j], w)
-        if child_idx:
-            counts[child_idx] = 0.0
-        return j, overflow

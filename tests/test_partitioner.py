@@ -1,23 +1,36 @@
 from __future__ import annotations
 
-import numpy as np
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import metis_graphs, path_graph, triangle
 from streammap import partitioner
-from streammap.graph_stream import grid2d, random_geometric, ring, total_node_weight
-from streammap.hierarchy import Block, HierarchySpec, parse_hierarchy
+from streammap.cli import main
+from streammap.graph_stream import (
+    GraphHeader,
+    InMemoryGraph,
+    NodeRecord,
+    StreamFormatError,
+    grid2d,
+    random_geometric,
+    ring,
+    total_node_weight,
+    write_metis,
+)
+from streammap.hierarchy import HierarchySpec, parse_hierarchy
 from streammap.partitioner import (
+    CHUNK_NODES,
+    KERNEL_CC,
     RunConfig,
     multipass_reference,
     partition_flat,
     partition_oms,
     prepare_tree,
 )
-from streammap.scoring import _vector_select  # noqa: PLC2701 (vector/scalar parity)
-from streammap.scoring import NEG_INF, WIDE_FANOUT, select_block
 
 
 class TestFlat:
@@ -90,9 +103,8 @@ class TestOms:
         flat = partition_flat(g, 6, cfg)
         assert oms.assignment.tolist() == flat.assignment.tolist()
         assert oms.leaf_weights == flat.leaf_weights
-        # flat is itself a descent; the sweeps are the independent reference,
-        # here also past the fan-out where the numpy form takes over
-        for k in (6, WIDE_FANOUT + 36):
+        # flat is itself a descent; the sweeps are the independent reference
+        for k in (6, 100):
             tree, _ = prepare_tree(g, hierarchy=parse_hierarchy(str(k)), eps=cfg.eps)
             flat = partition_flat(g, k, cfg)
             ref = multipass_reference(g, tree, cfg)
@@ -203,38 +215,6 @@ class TestMultipass:
         assert oms.assignment.tolist() == ref.assignment.tolist()
 
 
-class TestVectorScalarParity:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 9), alg=st.sampled_from(["fennel", "ldg"]))
-    def test_vector_select_matches_scalar(self, data, k, alg):
-        weights = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
-        counts = data.draw(
-            st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5]), min_size=k, max_size=k)
-        )
-        cap = data.draw(st.integers(3, 8))
-        alpha = 0.8
-        blocks = [
-            Block(id=j + 1, parent=0, depth=1, cover_lo=j + 1, cover_hi=j + 1,
-                  capacity=cap, weight=weights[j], alpha=alpha)
-            for j in range(k)
-        ]
-        sj, sovf = select_block(blocks, counts, 1, alg)
-
-        w = np.asarray(weights, dtype=np.float64)
-        if alg == "fennel":
-            scores = np.asarray(counts) - (alpha * 1.5) * np.sqrt(w)
-        else:
-            scores = np.asarray(counts) * (1.0 - w / cap)
-        scores[w + 1 > cap] = NEG_INF
-        vj = _vector_select(scores, w)
-        if vj < 0:
-            vovf = True
-            vj = int(np.lexsort((np.arange(k), w))[0])
-        else:
-            vovf = False
-        assert (sj, sovf) == (vj, vovf)
-
-
 class TestCounters:
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
@@ -291,18 +271,15 @@ class TestDeterminism:
 
 
 # Explicit hierarchies as level lists; synthesized trees as (k, base). The
-# last three draw sibling groups wider than WIDE_FANOUT, which the descent
-# scores with numpy: a depth-1 synthesized tree (base >= k), a wide top level
-# over uneven children (base < k), and a wide explicit bottom level alone or
-# under two or three parents.
+# last three draw sibling groups wider than 64: a depth-1 synthesized tree
+# (base >= k), a wide top level over uneven children (base < k), and a wide
+# explicit bottom level alone or under two or three parents.
 tree_shapes = st.one_of(
     st.lists(st.integers(2, 4), min_size=1, max_size=3).map(lambda lv: HierarchySpec(tuple(lv))),
     st.tuples(st.integers(1, 40), st.integers(2, 8)),
     st.integers(1, 150).flatmap(lambda k: st.tuples(st.just(k), st.integers(max(k, 2), 160))),
-    st.integers(WIDE_FANOUT + 2, 150).flatmap(
-        lambda k: st.tuples(st.just(k), st.integers(WIDE_FANOUT + 1, k - 1))
-    ),
-    st.tuples(st.integers(WIDE_FANOUT + 1, 150), st.sampled_from([(), (2,), (3,)])).map(
+    st.integers(66, 150).flatmap(lambda k: st.tuples(st.just(k), st.integers(65, k - 1))),
+    st.tuples(st.integers(65, 150), st.sampled_from([(), (2,), (3,)])).map(
         lambda t: HierarchySpec((t[0], *t[1]))
     ),
 )
@@ -314,7 +291,9 @@ tree_shapes = st.one_of(
     shape=tree_shapes,
     alg=st.sampled_from(["fennel", "ldg", "hashing"]),
     eps=st.sampled_from([0.0, 0.03, 0.5]),
-    seed=st.integers(0, 3),
+    # the hash masks the seed to 64 bits, so -1 and 2**64 + 5 must hash alike
+    # in both drivers
+    seed=st.one_of(st.integers(0, 3), st.sampled_from([-1, 2**64 + 5])),
 )
 def test_descent_always_matches_multipass(data, shape, alg, eps, seed):
     # The descent narrows each neighbour list level by level and resolves
@@ -323,7 +302,7 @@ def test_descent_always_matches_multipass(data, shape, alg, eps, seed):
     # trees get graphs large enough that blocks hold several nodes, so their
     # scores, not only the capacity gate, decide placements.
     k = shape.k if isinstance(shape, HierarchySpec) else shape[0]
-    if k <= WIDE_FANOUT:
+    if k <= 64:
         graph = data.draw(metis_graphs(max_n=40))
     else:
         graph = data.draw(metis_graphs(min_n=min(2 * k, 300), max_n=300))
@@ -341,3 +320,123 @@ def test_descent_always_matches_multipass(data, shape, alg, eps, seed):
         assert getattr(oms.counters, field) == getattr(ref.counters, field)
     assert sum(oms.leaf_weights) == oms.total_weight
     assert max(oms.leaf_weights) <= oms.lmax or oms.counters.overflow_events > 0
+
+
+def _fractional(graph: InMemoryGraph, seed: int) -> InMemoryGraph:
+    """``graph`` as fmt 11, with fractional node and edge weights."""
+    rnd = random.Random(seed)
+    edge_w: dict[tuple[int, int], float] = {}
+    records = []
+    for rec in graph.records:
+        nbrs = tuple(
+            (v, edge_w.setdefault((min(rec.id, v), max(rec.id, v)), rnd.choice([0.3, 0.5, 1, 2])))
+            for v, _ in rec.neighbors
+        )
+        records.append(NodeRecord(rec.id, rnd.choice([0.1, 0.5, 1, 1.25, 3]), nbrs))
+    h = graph.header
+    return InMemoryGraph(GraphHeader(h.n, h.m, True, True), records)
+
+
+@pytest.fixture(scope="module")
+def chunked_graphs(tmp_path_factory):
+    """Graphs of several kernel chunks, each preloaded and as a written file."""
+    root = tmp_path_factory.mktemp("chunked")
+    rgg = random_geometric(5000, seed=31)
+    graphs = {
+        "rgg": rgg,
+        "fractional": _fractional(rgg, seed=32),
+        # every chunk has zero adjacency entries
+        "edgeless": InMemoryGraph(GraphHeader(3 * CHUNK_NODES + 5, 0),
+                                  [NodeRecord(i, 1, ()) for i in range(3 * CHUNK_NODES + 5)]),
+    }
+    out = {}
+    for name, graph in graphs.items():
+        assert graph.n > CHUNK_NODES
+        path = root / f"{name}.graph"
+        write_metis(graph, path)
+        out[name] = (graph, str(path))
+    return out
+
+
+@pytest.mark.parametrize("graph_name", ["rgg", "fractional", "edgeless"])
+@pytest.mark.parametrize("shape", [(200, 6), parse_hierarchy("4:5:3")], ids=["synth", "explicit"])
+def test_descent_across_chunk_boundaries(chunked_graphs, graph_name, shape):
+    # Nodes see neighbours placed in earlier kernel calls; streamed and
+    # preloaded sources must agree with the sweeps node for node.
+    graph, path = chunked_graphs[graph_name]
+    if isinstance(shape, HierarchySpec):
+        tree, _ = prepare_tree(graph, hierarchy=shape)
+    else:
+        tree, _ = prepare_tree(graph, k=shape[0], base=shape[1])
+    configs = [RunConfig(algorithm=alg, seed=7, hybrid_h=h)
+               for alg in ("fennel", "ldg") for h in (None, 1)]
+    configs.append(RunConfig(algorithm="hashing", seed=7))
+    for config in configs:
+        ref = multipass_reference(graph, tree, config)
+        for source in (graph, path):
+            oms = partition_oms(source, tree, config)
+            assert oms.assignment.tolist() == ref.assignment.tolist()
+            assert oms.leaf_weights == ref.leaf_weights
+            assert oms.total_weight == ref.total_weight
+            for field in ("score_evaluations", "hash_assignments", "overflow_events"):
+                assert getattr(oms.counters, field) == getattr(ref.counters, field)
+
+
+@pytest.mark.parametrize("nbr", [3, -1])
+def test_hand_built_graph_cannot_send_the_kernel_out_of_bounds(nbr):
+    # the kernel indexes the assignment by neighbour id and node id
+    bad = InMemoryGraph(GraphHeader(3, 1), [NodeRecord(0, 1, ((nbr, 1),)),
+                                            NodeRecord(1, 1, ()), NodeRecord(2, 1, ())])
+    tree, _ = prepare_tree(bad, k=2)
+    with pytest.raises(StreamFormatError, match=r"lies outside \[0, 3\)"):
+        partition_oms(bad, tree, RunConfig())
+    extra = InMemoryGraph(GraphHeader(2, 0), [NodeRecord(i, 1, ()) for i in range(3)])
+    with pytest.raises(StreamFormatError, match="more records than n=2"):
+        partition_oms(extra, tree, RunConfig())
+
+
+class TestKernelBuild:
+    @pytest.fixture(autouse=True)
+    def fresh_load(self):
+        partitioner._load_kernel.cache_clear()
+        yield
+        partitioner._load_kernel.cache_clear()
+
+    def test_failed_build_is_one_line_oserror(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(partitioner, "KERNEL_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(partitioner, "KERNEL_CC", (str(tmp_path / "no-cc"), "-O2"))
+        with pytest.raises(OSError, match="no-cc -O2") as missing:
+            partitioner._load_kernel()
+        assert "\n" not in str(missing.value)
+        # a compiler that fails; the CLI reports it as an I/O failure
+        monkeypatch.setattr(partitioner, "KERNEL_CC", ("false",))
+        graph = tmp_path / "ring.graph"
+        write_metis(ring(10), graph)
+        assert main(["partition", "--input", str(graph), "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot build the descent kernel with `false ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        # a cache directory that cannot be written: here it cannot even be made
+        monkeypatch.setattr(partitioner, "KERNEL_CC", KERNEL_CC)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setattr(partitioner, "KERNEL_CACHE", blocker / "__pycache__")
+        with pytest.raises(OSError, match="cannot build the descent kernel with `gcc "):
+            partitioner._load_kernel()
+        assert main(["partition", "--input", str(graph), "--k", "2"]) == 1
+
+    def test_built_library_is_reused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(partitioner, "KERNEL_CACHE", cache)
+        partitioner._load_kernel()
+        built = [p.name for p in cache.iterdir()]
+        assert len(built) == 1 and re.fullmatch(r"_descent-[0-9a-f]{8}\.so", built[0])
+        # a rebuild would fail now, so a second load must come from the cache
+        partitioner._load_kernel.cache_clear()
+        monkeypatch.setattr(partitioner, "KERNEL_CC", ("false",))
+        partitioner._load_kernel()
+        g = ring(12)
+        tree, _ = prepare_tree(g, k=3)
+        assert partition_oms(g, tree, RunConfig()).assignment.tolist() == \
+            multipass_reference(g, tree, RunConfig()).assignment.tolist()
+        assert [p.name for p in cache.iterdir()] == built

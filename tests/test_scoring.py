@@ -191,6 +191,12 @@ class TestSelectBlock:
         with pytest.raises(ValueError, match="empty"):
             select_block([], [], 1, "fennel")
 
+    def test_unknown_algorithm_rejected(self):
+        # no rule runs for a name outside ALGORITHMS, not even ldg's
+        blocks = make_blocks([0, 0], [5, 5])
+        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+            select_block(blocks, [1.0, 0.0], 1, "nope")
+
     def test_hashing_respects_capacity_by_probing(self):
         blocks = make_blocks([5, 0, 5, 5], [5, 5, 5, 5])
         j, overflow = select_block(blocks, [0.0] * 4, 1, "hashing", seed=0, node_id=3)
