@@ -147,16 +147,20 @@ def _load_input(args) -> tuple[object, float]:
 
 
 def _write_partition(path: str, result: PartitionResult) -> None:
+    labels = result.assignment
     with open(path, "w", encoding="ascii") as out:
-        for pe in result.assignment:
-            out.write(f"{int(pe)}\n")
+        # one join per block of lines: a write per line takes longer than the
+        # placement, and one string of all lines would grow peak memory
+        for lo in range(0, labels.shape[0], 8192):
+            out.write("\n".join(map(str, labels[lo:lo + 8192].tolist())) + "\n")
 
 
 def _read_partition(path: str, n: int) -> list[int]:
     """Labels of a partition file, which must hold exactly ``n`` integer lines."""
     labels = []
     line_no = 0
-    with open(path, "r", encoding="ascii") as handle:
+    # a non-ASCII byte decodes to a surrogate, which int() rejects below
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

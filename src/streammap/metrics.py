@@ -16,8 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph_stream import open_stream
-from .hierarchy import DistanceSpec, HierarchySpec, shared_level
+import numpy as np
+
+# open_stream and shared_level are no longer called here; perfbench's tracer
+# wraps them by these module paths, so they stay importable from this module
+from .graph_stream import WeightSum, open_chunks, open_stream  # noqa: F401
+from .hierarchy import DistanceSpec, HierarchySpec, shared_level  # noqa: F401
 
 __all__ = [
     "QualityReport",
@@ -72,7 +76,10 @@ def evaluate(
 
     Every node must carry a PE id in [1, k]. Each undirected edge is counted
     once (at its lower-id endpoint). ``distances`` requires ``hierarchy``,
-    with one distance per hierarchy level.
+    with one distance per hierarchy level. The pass reads CSR chunks and
+    adds every total in node order, edge by edge, so each one equals the sum
+    a Python loop over the records would give: an int exactly when all its
+    summands were int tokens.
     """
     if distances is not None and hierarchy is None:
         raise ValueError("distances need a hierarchy to locate shared levels")
@@ -80,53 +87,82 @@ def evaluate(
         raise ValueError(
             f"distance spec has {len(distances.distances)} levels, hierarchy has {hierarchy.ell}"
         )
-    stream = open_stream(source)
-    n = stream.header.n
+    header, chunks = open_chunks(source)
+    n = header.n
     if len(assignment) != n:
         raise ValueError(f"assignment has {len(assignment)} slots, graph has {n} nodes")
+    if isinstance(assignment, np.ndarray):
+        labels = assignment
+    else:
+        try:
+            labels = np.fromiter(assignment, np.int64, n)
+        except OverflowError:
+            raise ValueError("a PE label lies outside the int64 range") from None
     if k is None:
-        k = hierarchy.k if hierarchy is not None else int(max(assignment))
+        k = hierarchy.k if hierarchy is not None else int(labels.max())
+    bad = (labels < 1) | (labels > k)
+    if bad.any():
+        node = int(bad.argmax())
+        if labels[node] == 0:
+            raise ValueError(f"node {node} is unassigned")
+        raise ValueError(f"node {node} carries PE {labels[node]} outside [1, {k}]")
     ell = hierarchy.ell if hierarchy is not None else 0
-    per_layer: list[int | float] = [0] * (ell + 1)
-    cut: int | float = 0
-    total_edge_weight: int | float = 0
-    mapping_cost: float | None = 0.0 if distances is not None else None
-    block_weight: list[int | float] = [0] * k
-    total_node_weight: int | float = 0
-    for rec in stream:
-        pu = int(assignment[rec.id])
-        if pu == 0:
-            raise ValueError(f"node {rec.id} is unassigned")
-        if not (1 <= pu <= k):
-            raise ValueError(f"node {rec.id} carries PE {pu} outside [1, {k}]")
-        block_weight[pu - 1] += rec.weight
-        total_node_weight += rec.weight
-        for v, w in rec.neighbors:
-            if v <= rec.id:
-                continue
-            total_edge_weight += w
-            pv = int(assignment[v])
-            if pv == 0:
-                raise ValueError(f"node {v} is unassigned")
-            if pu == pv:
-                continue
-            cut += w
-            if hierarchy is not None:
-                level = shared_level(hierarchy, pu, pv)
-                per_layer[level] += w
-                if mapping_cost is not None:
-                    mapping_cost += w * distances.distances[level - 1]
-    max_weight = max(block_weight)
+    dist = np.asarray(distances.distances, dtype=np.float64) if distances is not None else None
+    # np.add.at adds in index order, one element at a time, like the loop
+    block_weight = np.zeros(k)
+    block_float = np.zeros(k, dtype=bool)
+    layer_cut = np.zeros(ell + 1)
+    layer_float = np.zeros(ell + 1, dtype=bool)
+    node_total, edge_total, cut, cost = WeightSum(), WeightSum(), WeightSum(), WeightSum()
+    for chunk in chunks:
+        ids = np.arange(chunk.first, chunk.first + chunk.count)
+        pes = labels[ids] - 1
+        np.add.at(block_weight, pes, chunk.node_w)
+        block_float[pes[chunk.node_floats()]] = True
+        node_total.add(chunk.node_w, chunk.node_float)
+        adj = chunk.adj[chunk.entries()]
+        u = np.repeat(ids, np.diff(chunk.indptr))
+        upper = adj["node"] > u
+        v = adj["node"][upper]
+        w = adj["weight"][upper]
+        floats = chunk.edge_floats()[upper]
+        edge_total.add(w, floats)
+        pu, pv = labels[u[upper]], labels[v]
+        crossing = pu != pv
+        w, floats = w[crossing], floats[crossing]
+        cut.add(w, floats)
+        if hierarchy is not None:
+            level = _shared_levels(hierarchy, pu[crossing], pv[crossing])
+            np.add.at(layer_cut, level, w)
+            layer_float[level[floats]] = True
+            if dist is not None:
+                cost.add(w * dist[level - 1], True)
+    heaviest = int(block_weight.argmax())
+    max_weight = block_weight[heaviest].item()
+    if not block_float[heaviest]:
+        max_weight = int(max_weight)
+    per_layer = [x if f else int(x) for x, f in zip(layer_cut.tolist(), layer_float.tolist())]
     return QualityReport(
         n=n,
         k=k,
-        edge_cut=cut,
-        total_edge_weight=total_edge_weight,
+        edge_cut=cut.value,
+        total_edge_weight=edge_total.value,
         max_block_weight=max_weight,
-        imbalance=max_weight * k / total_node_weight - 1.0,
-        mapping_cost=mapping_cost,
+        imbalance=max_weight * k / node_total.value - 1.0,
+        mapping_cost=float(cost.value) if distances is not None else None,
         per_layer_cut=per_layer[1:] if hierarchy is not None else None,
     )
+
+
+def _shared_levels(spec: HierarchySpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`~streammap.hierarchy.shared_level` of each pair x[i] != y[i] of PEs."""
+    level = np.full(x.shape, spec.ell, dtype=np.int64)
+    ex, ey = x - 1, y - 1
+    module = spec.k  # PEs per module at the level below
+    for lv in range(spec.ell - 1, 0, -1):
+        module //= spec.levels[lv]
+        level[ex // module == ey // module] = lv
+    return level
 
 
 def improvement(sigma_a: float, sigma_b: float) -> float:

@@ -9,9 +9,10 @@ computed from its PE id. ``partition_flat``, the classical baseline that
 scores every node against all k blocks (or hashes it straight to one), is
 the same descent over a depth-1 tree with k leaves.
 
-The descent runs in a small C kernel, ``_descent.c``, which places a chunk
-of streamed nodes per call. It is compiled with the system ``gcc`` on first
-use and cached beside this module's bytecode; a failed build raises OSError.
+The descent runs in a small C kernel, ``_descent.c``, which places one CSR
+chunk of nodes (:func:`~streammap.graph_stream.open_chunks`) per call. It is
+part of streammap's C library, which ``_native`` compiles with the system
+``gcc`` on first use; a failed build raises OSError.
 
 ``RunConfig`` (algorithm, eps, seed, hybrid_h) is the whole run
 configuration. One rule, :meth:`RunConfig.scored_levels`, says which tree
@@ -29,19 +30,16 @@ equivalence heavily, and it is what holds the kernel to the Python rule.
 
 from __future__ import annotations
 
-import functools
-import os
 import time
-import zlib
 from dataclasses import dataclass
-from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
+from ._native import library
 from .graph_stream import (
+    CHUNK_NODES,
     GraphHeader,
-    StreamFormatError,
+    open_chunks,
     open_stream,
     peek_header,
     total_node_weight,
@@ -67,19 +65,6 @@ __all__ = [
 ]
 
 UNASSIGNED = 0  # PE ids are 1-based; 0 marks a node not yet placed
-
-# Nodes per kernel call. Larger chunks save little time and grow peak memory
-# with the chunk's records and arrays (16384 nodes of rgg 100k: +16 MB).
-CHUNK_NODES = 2048
-# One adjacency entry as the kernel reads it (its Edge struct).
-_EDGE = np.dtype([("node", np.int64), ("weight", np.float64)])
-
-KERNEL_SOURCE = Path(__file__).with_name("_descent.c")
-KERNEL_CACHE = Path(__file__).with_name("__pycache__")
-# No -ffast-math or -march=native: contracted or reassociated arithmetic would
-# round differently from Python's doubles and break equality with
-# multipass_reference.
-KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass
@@ -221,66 +206,20 @@ def _result_from_tree(
     )
 
 
-@functools.cache
-def _load_kernel():
-    """The compiled descent kernel, built on first use.
-
-    The library is cached as ``KERNEL_CACHE/_descent-<crc32 of the source>.so``,
-    so an edited source builds anew and an unchanged one is loaded as is.
-    Raises OSError, naming the compiler command, when the build fails.
-    """
-    import ctypes
-
-    source = KERNEL_SOURCE.read_bytes()
-    lib_path = KERNEL_CACHE / f"_descent-{zlib.crc32(source):08x}.so"
-    if not lib_path.exists():
-        _build_kernel(lib_path)
-    lib = ctypes.CDLL(str(lib_path))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.place_chunk.argtypes = (
-        [ptr] * 8 + [i64, i64, ctypes.c_int, ctypes.c_uint64, i64, i64] + [ptr] * 6
-    )
-    lib.place_chunk.restype = ctypes.c_int
-    return lib
-
-
-def _build_kernel(lib_path: Path) -> None:
-    import subprocess
-
-    command = [*KERNEL_CC, str(KERNEL_SOURCE), "-lm"]
-    # a private name, then an atomic rename: concurrent builders never load a
-    # half-written library
-    tmp = lib_path.with_name(f"{lib_path.stem}.{os.getpid()}.tmp")
-    try:
-        KERNEL_CACHE.mkdir(exist_ok=True)
-        done = subprocess.run([*command, "-o", str(tmp)], capture_output=True, text=True)
-        if done.returncode != 0:
-            lines = done.stderr.strip().splitlines() or [f"exit status {done.returncode}"]
-            raise OSError(lines[0])
-        os.replace(tmp, lib_path)
-    except OSError as exc:
-        raise OSError(f"cannot build the descent kernel with `{' '.join(command)}`: {exc}") from None
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
     """Single-pass recursive multi-section over ``tree``.
 
     Each node descends from the root to a leaf, which is its PE. The descent
-    runs in the compiled kernel (``_descent.c``), one call per chunk of
-    ``CHUNK_NODES`` streamed nodes; it makes :func:`select_block`'s decisions
-    bit for bit. Resets tree weights, so a tree can be reused across runs,
+    runs in the compiled kernel (``_descent.c``), one call per CSR chunk of
+    ``CHUNK_NODES`` nodes; it makes :func:`select_block`'s decisions bit for
+    bit. Resets tree weights, so a tree can be reused across runs,
     and leaves each block's final weight in ``Block.weight``. Candidate
     penalty constants must already be stamped (see :func:`prepare_tree`).
     The total node weight is summed during the pass, in stream order.
     """
-    header = peek_header(source)
-    n = header.n
     scored_levels = config.scored_levels(tree.depth)
     fennel = config.algorithm == "fennel"
-    lib = _load_kernel()
+    lib = library()
     blocks = tree.blocks
     nb = len(blocks)
     first_kid = np.fromiter((b.children[0] if b.children else 0 for b in blocks), np.int64, nb)
@@ -296,30 +235,19 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
     tree_args = (first_kid.ctypes.data, kids.ctypes.data, lo.ctypes.data, hi.ctypes.data,
                  capacity.ctypes.data, alpha.ctypes.data, weight.ctypes.data, term.ctypes.data,
                  int(kids.max()), scored_levels, fennel, config.seed % 2**64)
-    assignment = np.zeros(n, dtype=np.int32)
     counts = np.zeros(5, dtype=np.int64)  # RunCounters' fields, in order
     total = np.zeros(1)
-    run_args = (assignment.ctypes.data, counts.ctypes.data, total.ctypes.data)
-    placed = 0
-    ints = True  # every node weight so far is an int, so Python's sums would be ints
+    ints = True  # every node weight so far is an int token, so Python's sums would be ints
     started = time.perf_counter()
-    records = iter(open_stream(source))
-    while chunk := list(islice(records, CHUNK_NODES)):
-        count = len(chunk)
-        if placed + count > n:
-            raise StreamFormatError(f"more records than n={n}")
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(r.neighbors) for r in chunk), np.int64, count), out=indptr[1:])
-        adj = np.fromiter(chain.from_iterable(r.neighbors for r in chunk), _EDGE, int(indptr[-1]))
-        if adj.shape[0] and not (0 <= adj["node"].min() and adj["node"].max() < n):
-            raise StreamFormatError(f"a neighbour of nodes {placed}..{placed + count - 1} "
-                                    f"lies outside [0, {n})")
-        node_w = np.fromiter((r.weight for r in chunk), np.float64, count)
-        ints = ints and all(isinstance(r.weight, int) for r in chunk)
-        if lib.place_chunk(*tree_args, placed, count, indptr.ctypes.data, adj.ctypes.data,
-                           node_w.ctypes.data, *run_args):
+    # every reader checks that there are n records with neighbours in [0, n)
+    header, chunks = open_chunks(source, chunk_nodes=CHUNK_NODES)
+    assignment = np.zeros(header.n, dtype=np.int32)
+    run_args = (assignment.ctypes.data, counts.ctypes.data, total.ctypes.data)
+    for chunk in chunks:
+        if lib.place_chunk(*tree_args, chunk.first, chunk.count, chunk.indptr.ctypes.data,
+                           chunk.adj.ctypes.data, chunk.node_w.ctypes.data, *run_args):
             raise MemoryError("descent kernel could not allocate its scratch buffers")
-        placed += count
+        ints = ints and not np.any(chunk.node_float)
     seconds = time.perf_counter() - started
     cast = int if ints else float
     for b, w in zip(blocks, weight.tolist()):

@@ -179,6 +179,26 @@ class TestEval:
         assert main(["eval", "--input", str(graph_file), "--partition", str(part)]) == 1
         assert f"{part}: {where}" in capsys.readouterr().err
 
+    def test_report_types_follow_the_weight_tokens(self, tmp_path):
+        # PE 1 holds int-token weights only, PE 3 float ones; the cut mixes an
+        # int-token edge (level 1) with a fractional one (level 2)
+        graph = tmp_path / "w.graph"
+        graph.write_text("4 3 11\n3 2 1\n2 1 1 3 0.5\n0.5 2 0.5 4 2\n1.5 3 2\n")
+        part = tmp_path / "p.part"
+        part.write_text("1\n2\n3\n3\n")
+        for extra in ([], ["--hierarchy", "2:2", "--distances", "1:10"]):
+            report = tmp_path / "r.json"
+            assert main(["eval", "--input", str(graph), "--partition", str(part), "--k", "4",
+                         *extra, "--report", str(report)]) == 0
+            quality = json.loads(report.read_text())["quality"]
+            assert quality["max_block_weight"] == 3 and type(quality["max_block_weight"]) is int
+            assert quality["edge_cut"] == 1.5 and type(quality["edge_cut"]) is float
+            assert quality["total_edge_weight"] == 3.5
+            assert quality["imbalance"] == 3 * 4 / 7.0 - 1.0
+        assert quality["per_layer_cut"] == [1, 0.5]
+        assert [type(x) for x in quality["per_layer_cut"]] == [int, float]
+        assert quality["mapping_cost"] == 6.0 and type(quality["mapping_cost"]) is float
+
     def test_eval_without_hierarchy(self, graph_file, tmp_path):
         part = tmp_path / "p.part"
         assert main(["partition", "--input", str(graph_file), "--k", "4",
@@ -260,3 +280,37 @@ class TestBench:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 3
         assert all(int(r["k"]) == 8 for r in rows)
+
+
+class TestBadGraphFiles:
+    """A malformed graph file exits 1 with one line naming the file line."""
+
+    @staticmethod
+    def run(tmp_path, capsys, data: bytes, *flags) -> str:
+        graph = tmp_path / "bad.graph"
+        graph.write_bytes(data)
+        report = tmp_path / "r.json"
+        assert main(["partition", "--input", str(graph), "--k", "2", *flags,
+                     "--report", str(report)]) == 1
+        assert not report.exists()  # so no report carries a NaN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("preload", [[], ["--preload"]])
+    def test_non_finite_weights(self, tmp_path, capsys, token, preload):
+        err = self.run(tmp_path, capsys, f"2 1 10\n{token} 2\n1 1\n".encode(), *preload)
+        assert f"line 2: node weight must be finite, got {token}" in err
+        err = self.run(tmp_path, capsys, f"2 1 1\n2 1\n1 {token}\n".encode(), *preload)
+        assert f"line 3: edge weight must be finite, got {token}" in err
+
+    def test_header_beyond_the_file(self, tmp_path, capsys):
+        # n records need n bytes; the reader must not size arrays by this n
+        err = self.run(tmp_path, capsys, b"1000000000000 0\n\n", "--preload")
+        assert "fewer records than n=1000000000000: got 1" in err
+
+    @pytest.mark.parametrize("preload", [[], ["--preload"]])
+    def test_non_ascii_bytes(self, tmp_path, capsys, preload):
+        err = self.run(tmp_path, capsys, b"3 2\n2\n1 3\n2 \xc3\xa9\n", *preload)
+        assert "line 4: non-ASCII character" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_edges, triangle
 from streammap.graph_stream import GraphHeader, InMemoryGraph, NodeRecord, random_geometric
-from streammap.hierarchy import parse_distances, parse_hierarchy
+from streammap.hierarchy import parse_distances, parse_hierarchy, shared_level
 from streammap.metrics import (
     ProfilePoint,
     aggregate,
@@ -97,6 +98,9 @@ class TestEvaluate:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             evaluate(triangle(), [1, 3, 1], k=2)
+        for huge in (2**63, 10**20):
+            with pytest.raises(ValueError, match="outside"):
+                evaluate(triangle(), [1, huge, 1], k=2)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="slots"):
@@ -105,6 +109,42 @@ class TestEvaluate:
     def test_distances_require_hierarchy(self):
         with pytest.raises(ValueError, match="hierarchy"):
             evaluate(triangle(), [1, 1, 2], distances=parse_distances("1"))
+
+    def test_sums_in_node_order_like_a_loop(self):
+        # 0.1-type weights round differently in another order, so this holds
+        # every total to the order of a Python loop over the records
+        g = random_geometric(3000, seed=4)
+        rnd = random.Random(4)
+        edge_w: dict[tuple[int, int], float] = {}
+        records = [
+            NodeRecord(r.id, rnd.choice([0.1, 0.7, 1, 1.3]), tuple(
+                (v, edge_w.setdefault((min(r.id, v), max(r.id, v)), rnd.choice([0.1, 0.3, 1, 2])))
+                for v, _ in r.neighbors))
+            for r in g.records
+        ]
+        weighted = InMemoryGraph(GraphHeader(g.n, g.m, True, True), records)
+        spec, dist = parse_hierarchy("4:4:2"), parse_distances("1:10:100")
+        assignment = [rnd.randint(1, spec.k) for _ in range(g.n)]
+        report = evaluate(weighted, assignment, hierarchy=spec, distances=dist)
+        cut = total_edge = cost = 0.0
+        per_layer = [0.0] * spec.ell
+        block = [0] * spec.k
+        for rec in records:
+            block[assignment[rec.id] - 1] += rec.weight
+            for v, w in rec.neighbors:
+                if v < rec.id:
+                    continue
+                total_edge += w
+                pu, pv = assignment[rec.id], assignment[v]
+                if pu != pv:
+                    cut += w
+                    level = shared_level(spec, pu, pv)
+                    per_layer[level - 1] += w
+                    cost += w * dist.distances[level - 1]
+        assert (report.edge_cut, report.total_edge_weight, report.mapping_cost) == (
+            cut, total_edge, cost)
+        assert report.per_layer_cut == per_layer
+        assert report.max_block_weight == max(block)
 
     def test_independent_of_adjacency_order(self):
         g = random_geometric(120, seed=5)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import metis_graphs, path_graph, triangle
-from streammap import partitioner
+from streammap import _native, partitioner
 from streammap.cli import main
 from streammap.graph_stream import (
     GraphHeader,
@@ -24,7 +24,6 @@ from streammap.graph_stream import (
 from streammap.hierarchy import HierarchySpec, parse_hierarchy
 from streammap.partitioner import (
     CHUNK_NODES,
-    KERNEL_CC,
     RunConfig,
     multipass_reference,
     partition_flat,
@@ -396,47 +395,65 @@ def test_hand_built_graph_cannot_send_the_kernel_out_of_bounds(nbr):
 
 
 class TestKernelBuild:
+    """The build of streammap's C library (``_native``), which holds the kernel."""
+
     @pytest.fixture(autouse=True)
     def fresh_load(self):
-        partitioner._load_kernel.cache_clear()
+        _native.library.cache_clear()
         yield
-        partitioner._load_kernel.cache_clear()
+        _native.library.cache_clear()
 
     def test_failed_build_is_one_line_oserror(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(partitioner, "KERNEL_CACHE", tmp_path / "cache")
-        monkeypatch.setattr(partitioner, "KERNEL_CC", (str(tmp_path / "no-cc"), "-O2"))
+        gcc = _native.CC
+        monkeypatch.setattr(_native, "CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_native, "CC", (str(tmp_path / "no-cc"), "-O2"))
         with pytest.raises(OSError, match="no-cc -O2") as missing:
-            partitioner._load_kernel()
+            _native.library()
         assert "\n" not in str(missing.value)
         # a compiler that fails; the CLI reports it as an I/O failure
-        monkeypatch.setattr(partitioner, "KERNEL_CC", ("false",))
+        monkeypatch.setattr(_native, "CC", ("false",))
         graph = tmp_path / "ring.graph"
         write_metis(ring(10), graph)
         assert main(["partition", "--input", str(graph), "--k", "2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot build the descent kernel with `false ")
+        assert err.startswith("error: cannot build streammap's C library with `false ")
         assert "Traceback" not in err and err.count("\n") == 1
         # a cache directory that cannot be written: here it cannot even be made
-        monkeypatch.setattr(partitioner, "KERNEL_CC", KERNEL_CC)
+        monkeypatch.setattr(_native, "CC", gcc)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        monkeypatch.setattr(partitioner, "KERNEL_CACHE", blocker / "__pycache__")
-        with pytest.raises(OSError, match="cannot build the descent kernel with `gcc "):
-            partitioner._load_kernel()
+        monkeypatch.setattr(_native, "CACHE", blocker / "__pycache__")
+        with pytest.raises(OSError, match="cannot build streammap's C library with `gcc "):
+            _native.library()
         assert main(["partition", "--input", str(graph), "--k", "2"]) == 1
 
     def test_built_library_is_reused(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
-        monkeypatch.setattr(partitioner, "KERNEL_CACHE", cache)
-        partitioner._load_kernel()
+        monkeypatch.setattr(_native, "CACHE", cache)
+        _native.library()
         built = [p.name for p in cache.iterdir()]
-        assert len(built) == 1 and re.fullmatch(r"_descent-[0-9a-f]{8}\.so", built[0])
+        assert len(built) == 1 and re.fullmatch(r"_native-[0-9a-f]{8}\.so", built[0])
         # a rebuild would fail now, so a second load must come from the cache
-        partitioner._load_kernel.cache_clear()
-        monkeypatch.setattr(partitioner, "KERNEL_CC", ("false",))
-        partitioner._load_kernel()
+        _native.library.cache_clear()
+        monkeypatch.setattr(_native, "CC", ("false",))
+        _native.library()
         g = ring(12)
         tree, _ = prepare_tree(g, k=3)
         assert partition_oms(g, tree, RunConfig()).assignment.tolist() == \
             multipass_reference(g, tree, RunConfig()).assignment.tolist()
         assert [p.name for p in cache.iterdir()] == built
+
+    def test_build_leaves_exactly_one_library(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = ["_native-00000000.so", "_native-deadbeef.so", "_descent-6c13c79b.so"]
+        kept = ["_native-0.so", "other-12345678.so", "graph_stream.cpython-311.pyc"]
+        for name in stale + kept:
+            (cache / name).write_bytes(b"")
+        monkeypatch.setattr(_native, "CACHE", cache)
+        _native.library()
+        names = sorted(p.name for p in cache.iterdir())
+        built = [name for name in names if name not in kept]
+        assert len(built) == 1 and re.fullmatch(r"_native-[0-9a-f]{8}\.so", built[0])
+        assert built[0] not in stale
+        assert sorted(set(names) - set(built)) == sorted(kept)
