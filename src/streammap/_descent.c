@@ -1,4 +1,5 @@
-/* Descent kernel of streammap.partitioner.partition_oms.
+/* Descent kernel of streammap.partitioner.partition_oms, and the quality
+ * charge of streammap.metrics.
  *
  * place_chunk places a run of consecutive nodes, given in CSR form, by
  * descending the multi-section tree from the root to a leaf. It makes the
@@ -12,6 +13,9 @@
  * first_kid[b] .. first_kid[b] + kids[b] - 1 and covers PEs lo[b] .. hi[b].
  * Siblings split their parent's range by near-equal sizes, larger first, so
  * the child holding a PE is found by arithmetic.
+ *
+ * charge_chunk adds a chunk's node and edge weights to the quality sums of a
+ * placement, in stream order: a placement is charged as its pass places it.
  */
 
 #include <math.h>
@@ -104,7 +108,7 @@ int place_chunk(
     double *weight, double *term, int64_t max_kids, int64_t scored_levels,
     int fennel, uint64_t seed, int64_t first_id, int64_t count,
     const int64_t *indptr, const Edge *adj, const double *node_w,
-    int32_t *assignment, int64_t *counters, double *total)
+    int32_t *assignment, int64_t *counters)
 {
     int64_t max_deg = 0;
     for (int64_t i = 0; i < count; i++)
@@ -123,7 +127,6 @@ int place_chunk(
     for (int64_t i = 0; i < count; i++) {
         const int64_t nid = first_id + i;
         const double cw = node_w[i];
-        *total += cw;
         counters[NODES] += 1;
         counters[EDGES] += indptr[i + 1] - indptr[i];
         int64_t m = 0;
@@ -182,4 +185,61 @@ int place_chunk(
     }
     free(pes), free(idx), free(ws), free(counts);
     return 0;
+}
+
+/* sums[] and floats[] of charge_chunk: four totals, the cut of each of ell
+ * levels, then the weight of each of k PEs */
+enum { NODE_TOTAL, EDGE_TOTAL, CUT, COST, LEVEL_CUT };
+
+/* Charges nodes first_id .. first_id + count - 1, placed on the 1-based PEs
+ * in assignment, to sums[]. Each undirected edge {u, v}, u < v, is charged
+ * once, at v's row and with the weight that row gives it: the only endpoint
+ * at which a one-pass stream knows both PEs. Sums add in node order, then
+ * adjacency order. floats[] gains a 1 for each sum with a float-token
+ * summand; node_float and edge_float hold one such bit per weight, or are
+ * NULL when every weight of their kind has the bit all_node_float or
+ * all_edge_float. With ell > 0 a cut edge is also charged to the lowest
+ * level whose module holds both PEs, where level l + 1 groups modules[l]
+ * PEs, and level ell takes every pair no lower level holds; with dist (NULL
+ * when not given) its cost is weight * dist[level - 1]. */
+void charge_chunk(
+    int64_t first_id, int64_t count, const int64_t *indptr, const Edge *adj,
+    const double *node_w, const uint8_t *node_float, int all_node_float,
+    const uint8_t *edge_float, int all_edge_float, const int32_t *assignment,
+    int64_t ell, const int64_t *modules, const double *dist, double *sums, uint8_t *floats)
+{
+    double *block = sums + LEVEL_CUT + ell;
+    uint8_t *block_float = floats + LEVEL_CUT + ell;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t v = first_id + i;
+        const int32_t pv = assignment[v];
+        const uint8_t nf = node_float ? node_float[i] : (uint8_t)all_node_float;
+        sums[NODE_TOTAL] += node_w[i];
+        floats[NODE_TOTAL] |= nf;
+        block[pv - 1] += node_w[i];
+        block_float[pv - 1] |= nf;
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
+            const int64_t u = adj[e].node;
+            if (u >= v)
+                continue;
+            const double w = adj[e].weight;
+            const uint8_t ef = edge_float ? edge_float[e] : (uint8_t)all_edge_float;
+            sums[EDGE_TOTAL] += w;
+            floats[EDGE_TOTAL] |= ef;
+            const int32_t pu = assignment[u];
+            if (pu == pv)
+                continue;
+            sums[CUT] += w;
+            floats[CUT] |= ef;
+            if (ell == 0)
+                continue;
+            int64_t level = 0;
+            while (level < ell - 1 && (pu - 1) / modules[level] != (pv - 1) / modules[level])
+                level++;
+            sums[LEVEL_CUT + level] += w;
+            floats[LEVEL_CUT + level] |= ef;
+            if (dist)
+                sums[COST] += w * dist[level];
+        }
+    }
 }

@@ -1,11 +1,11 @@
 """streammap's compiled half: one C library, built with ``gcc`` on first use.
 
-The library holds the descent kernel (``_descent.c``, behind
-``partitioner.partition_oms``) and the METIS body reader (``_reader.c``,
-behind ``graph_stream.open_chunks``). It is compiled from those sources on
-the first call that needs it, never at import, and cached as
-``CACHE/_native-<crc32 of the sources>.so``, so an edited source builds anew
-and an unchanged one is loaded as is. A successful build removes the
+The library holds the descent kernel and the quality charge (``_descent.c``,
+behind ``partitioner.partition_oms`` and ``metrics.QualitySums``) and the
+METIS body reader (``_reader.c``, behind ``graph_stream.open_chunks``). It
+is compiled from those sources on the first call that needs it, never at
+import, and cached as ``CACHE/_native-<crc32 of the sources>.so``, so an
+edited source builds anew and an unchanged one is loaded as is. A successful build removes the
 libraries of earlier sources from the cache. A build that fails raises one
 OSError naming the compiler command; the CLI reports it and exits 1.
 """
@@ -33,7 +33,7 @@ _LIBRARY_NAME = re.compile(r"_(native|descent)-[0-9a-f]{8}\.so")
 
 @functools.cache
 def library():
-    """The loaded library, with the argument types of its two entry points."""
+    """The loaded library, with the argument types of its entry points."""
     import ctypes
 
     crc = zlib.crc32(b"".join(source.read_bytes() for source in SOURCES))
@@ -43,9 +43,13 @@ def library():
     lib = ctypes.CDLL(str(lib_path))
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     lib.place_chunk.argtypes = (
-        [ptr] * 8 + [i64, i64, flag, ctypes.c_uint64, i64, i64] + [ptr] * 6
+        [ptr] * 8 + [i64, i64, flag, ctypes.c_uint64, i64, i64] + [ptr] * 5
     )
     lib.place_chunk.restype = flag
+    lib.charge_chunk.argtypes = (
+        [i64, i64, ptr, ptr, ptr, ptr, flag, ptr, flag, ptr, i64] + [ptr] * 4
+    )
+    lib.charge_chunk.restype = None
     lib.read_chunk.argtypes = (
         [ctypes.c_char_p, i64, flag, i64, flag, flag, flag, ptr, ptr, i64, i64] + [ptr] * 5
     )

@@ -32,7 +32,7 @@ from .graph_stream import (
     peek_header,
     write_metis,
 )
-from .hierarchy import HierarchySpec, parse_distances, parse_hierarchy
+from .hierarchy import DistanceSpec, HierarchySpec, parse_distances, parse_hierarchy
 from .metrics import (
     aggregate,
     evaluate,
@@ -180,12 +180,11 @@ def _read_partition(path: str, n: int) -> list[int]:
     return labels
 
 
-def _emit(args, source, result: PartitionResult, parse_s: float,
-          hierarchy=None, distances=None, extra_run: dict | None = None) -> int:
-    eval_started = time.perf_counter()
-    quality = evaluate(source, result.assignment, k=result.k,
-                       hierarchy=hierarchy, distances=distances)
-    evaluate_s = time.perf_counter() - eval_started
+def _emit(args, result: PartitionResult, parse_s: float,
+          extra_run: dict | None = None) -> int:
+    """Writes the partition and the report; the quality is the one the
+    placing pass charged, so the source is not read again."""
+    quality = result.quality
     run = {
         "algorithm": result.algorithm,
         "mode": result.mode,
@@ -198,7 +197,7 @@ def _emit(args, source, result: PartitionResult, parse_s: float,
         "timings": {
             "parse_s": parse_s,
             "assign_s": result.assign_seconds,
-            "evaluate_s": evaluate_s,
+            "evaluate_s": result.evaluate_seconds,
         },
     }
     if extra_run:
@@ -242,20 +241,22 @@ def cmd_gen(args) -> int:
 
 def _partition(source, config: RunConfig, k: int | None = None,
                hierarchy: HierarchySpec | None = None,
-               base: int | None = None) -> PartitionResult:
+               base: int | None = None,
+               distances: DistanceSpec | None = None) -> PartitionResult:
     """Plan and run one partitioning; every subcommand that partitions comes here.
 
-    A ``hierarchy`` selects a descent of its explicit tree, a ``base`` a
+    A ``hierarchy`` selects a descent of its explicit tree, whose quality
+    includes per-level cuts and the cost under ``distances``; a ``base`` a
     descent of a synthesized base-b tree for ``k`` blocks; with neither the
     run is the flat k-way baseline.
     """
     if hierarchy is not None:
         tree, _ = prepare_tree(source, hierarchy=hierarchy, eps=config.eps)
-    elif base is not None:
+        return partition_oms(source, tree, config, hierarchy, distances)
+    if base is not None:
         tree, _ = prepare_tree(source, k=k, base=base, eps=config.eps)
-    else:
-        return partition_flat(source, k, config)
-    return partition_oms(source, tree, config)
+        return partition_oms(source, tree, config)
+    return partition_flat(source, k, config)
 
 
 def cmd_run(args) -> int:
@@ -265,15 +266,15 @@ def cmd_run(args) -> int:
     dist = parse_distances(args.distances) if args.distances else None
     config = RunConfig(algorithm=args.algorithm, eps=args.eps, seed=args.seed,
                        hybrid_h=args.hybrid_h)
-    result = _partition(source, config, k=args.k, hierarchy=spec, base=args.base)
+    result = _partition(source, config, k=args.k, hierarchy=spec, base=args.base,
+                        distances=dist)
     if spec is not None:
         extra_run = {"hierarchy": args.hierarchy, "distances": args.distances}
     elif args.base is not None:
         extra_run = {"base": args.base}
     else:
         extra_run = None
-    return _emit(args, source, result, parse_s, hierarchy=spec, distances=dist,
-                 extra_run=extra_run)
+    return _emit(args, result, parse_s, extra_run=extra_run)
 
 
 def cmd_eval(args) -> int:

@@ -501,20 +501,16 @@ class InMemoryGraph:
         yield f"{h.n} {h.m} {fmt}" if fmt else f"{h.n} {h.m}"
         # rows of a graph of arrays are made one at a time, not kept
         for rec in self._records if self._records is not None else _rows(self.csr):
+            # str writes an int token as an int and a float one as a float
+            # (2.0, not 2), so the file reads back with the same weight types
             parts: list[str] = []
             if h.has_node_weights:
-                parts.append(_fmt_num(rec.weight))
+                parts.append(str(rec.weight))
             for nbr, ew in rec.neighbors:
                 parts.append(str(nbr + 1))
                 if h.has_edge_weights:
-                    parts.append(_fmt_num(ew))
+                    parts.append(str(ew))
             yield " ".join(parts)
-
-
-def _fmt_num(x: int | float) -> str:
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return str(x)
 
 
 # ----------------------------------------------------------------------------
@@ -549,7 +545,9 @@ def open_chunks(
     slices of its arrays. A path is read by the C reader, with the Python
     reader taking over at the first line the C reader does not accept. A
     text handle is read by the Python reader. Every source is validated as
-    :func:`open_stream` validates it.
+    :func:`open_stream` validates it. A file of fewer bytes than n, which
+    cannot hold n records, raises its error before the header is returned,
+    so no caller sizes an array by its n.
     """
     if isinstance(source, InMemoryGraph):
         csr = source.csr
@@ -600,6 +598,9 @@ def _native_chunks(path: str | Path, sanitize: bool,
         # reports it without sizing arrays by n
         if found is None or found[0].n > size:
             stream = open_stream(path, sanitize)
+            if stream.header.n > size:
+                for _ in stream:  # raises: the file cannot hold n records
+                    pass
             yield stream.header
             yield from _record_chunks(stream, 0, chunk_nodes)
             return

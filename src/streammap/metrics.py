@@ -3,7 +3,9 @@
 The communication cost charges each undirected edge once with
 weight * distance(PE(u), PE(v)); summing over the symmetric pair matrix
 instead would double every term, which changes no comparison or improvement
-percentage. Cut edges are attributed to the single hierarchy level where the
+percentage. Each edge is charged at its later endpoint, with the weight that
+endpoint's row gives it, so the two rows of an edge need not agree on its
+weight. Cut edges are attributed to the single hierarchy level where the
 two endpoints first share a module, so the per-level cuts sum to the total
 edge-cut.
 """
@@ -18,10 +20,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._native import library
 # open_stream and shared_level are no longer called here; perfbench's tracer
 # wraps them by these module paths, so they stay importable from this module
-from .graph_stream import WeightSum, open_chunks, open_stream  # noqa: F401
-from .hierarchy import DistanceSpec, HierarchySpec, shared_level  # noqa: F401
+from .graph_stream import CSR, open_chunks, open_stream  # noqa: F401
+from .hierarchy import K_LIMIT, DistanceSpec, HierarchySpec, shared_level  # noqa: F401
 
 __all__ = [
     "QualityReport",
@@ -65,6 +68,89 @@ class QualityReport:
         return out
 
 
+class QualitySums:
+    """The quality sums of a placement, charged one CSR chunk at a time.
+
+    :meth:`charge` adds a chunk's node weights to their PEs and charges each
+    undirected edge {u, v}, u < v, once, at v's row and with the weight that
+    row gives it: the later endpoint is the first at which a one-pass stream
+    knows both PEs, so a pass charges each chunk right after placing it.
+    Every sum adds in node order, then adjacency order, in C
+    (``charge_chunk`` in ``_descent.c``). A sum is an int exactly when every
+    summand was an int token; the communication cost is always a float.
+    """
+
+    def __init__(self, n: int, k: int, hierarchy: HierarchySpec | None = None,
+                 distances: DistanceSpec | None = None):
+        if distances is not None and hierarchy is None:
+            raise ValueError("distances need a hierarchy to locate shared levels")
+        if distances is not None and len(distances.distances) != hierarchy.ell:
+            raise ValueError(f"distance spec has {len(distances.distances)} levels, "
+                             f"hierarchy has {hierarchy.ell}")
+        self.n, self.k = n, k
+        self._ell = hierarchy.ell if hierarchy is not None else 0
+        # PEs per module at each level, shared_level's arithmetic
+        self._modules = (np.cumprod(hierarchy.levels, dtype=np.int64)
+                         if hierarchy is not None else None)
+        self._dist = (np.asarray(distances.distances, dtype=np.float64)
+                      if distances is not None else None)
+        self._sums = np.zeros(_LEVEL_CUT + self._ell + k)
+        self._floats = np.zeros(self._sums.shape[0], dtype=np.uint8)
+        self._charge = library().charge_chunk
+
+    def charge(self, chunk: CSR, assignment: np.ndarray) -> None:
+        """Charges ``chunk``. ``assignment`` (int32, one PE in [1, k] per
+        node of the graph) must place its nodes and every node before them."""
+        node_bits, all_node = _bits(chunk.node_float)
+        edge_bits, all_edge = _bits(chunk.edge_float)
+        self._charge(
+            chunk.first, chunk.count, chunk.indptr.ctypes.data, chunk.adj.ctypes.data,
+            chunk.node_w.ctypes.data, node_bits, all_node, edge_bits, all_edge,
+            assignment.ctypes.data, self._ell, _pointer(self._modules), _pointer(self._dist),
+            self._sums.ctypes.data, self._floats.ctypes.data)
+
+    def _value(self, i: int) -> int | float:
+        x = float(self._sums[i])
+        return x if self._floats[i] else int(x)
+
+    @property
+    def total_node_weight(self) -> int | float:
+        return self._value(_NODE_TOTAL)
+
+    def report(self) -> QualityReport:
+        """The quality of the nodes charged so far."""
+        blocks = _LEVEL_CUT + self._ell
+        max_weight = self._value(blocks + int(self._sums[blocks:].argmax()))
+        return QualityReport(
+            n=self.n,
+            k=self.k,
+            edge_cut=self._value(_CUT),
+            total_edge_weight=self._value(_EDGE_TOTAL),
+            max_block_weight=max_weight,
+            imbalance=max_weight * self.k / self.total_node_weight - 1.0,
+            mapping_cost=float(self._sums[_COST]) if self._dist is not None else None,
+            per_layer_cut=([self._value(_LEVEL_CUT + i) for i in range(self._ell)]
+                           if self._modules is not None else None),
+        )
+
+
+# charge_chunk's sums[] slots: four totals, the cut of each level, then the
+# weight of each PE (see _descent.c)
+_NODE_TOTAL, _EDGE_TOTAL, _CUT, _COST, _LEVEL_CUT = range(5)
+
+
+def _bits(flag: bool | np.ndarray) -> tuple[int | None, bool]:
+    """A CSR float flag as charge_chunk takes it: per-weight bits, or NULL
+    and the bit of every weight."""
+    if isinstance(flag, bool):
+        return None, flag
+    return flag.ctypes.data, False
+
+
+def _pointer(array: np.ndarray | None) -> int | None:
+    return array.ctypes.data if array is not None else None
+
+
 def evaluate(
     source,
     assignment: Sequence[int],
@@ -74,19 +160,12 @@ def evaluate(
 ) -> QualityReport:
     """Score ``assignment`` against the graph in one streaming pass.
 
-    Every node must carry a PE id in [1, k]. Each undirected edge is counted
-    once (at its lower-id endpoint). ``distances`` requires ``hierarchy``,
-    with one distance per hierarchy level. The pass reads CSR chunks and
-    adds every total in node order, edge by edge, so each one equals the sum
-    a Python loop over the records would give: an int exactly when all its
-    summands were int tokens.
+    Every node must carry a PE id in [1, k]. ``distances`` requires
+    ``hierarchy``, with one distance per hierarchy level. The pass charges
+    each CSR chunk to :class:`QualitySums`, as the partitioner's pass does,
+    so each undirected edge is counted once, at its later endpoint, and the
+    report equals the one a partitioning run gives for the same placement.
     """
-    if distances is not None and hierarchy is None:
-        raise ValueError("distances need a hierarchy to locate shared levels")
-    if distances is not None and len(distances.distances) != hierarchy.ell:
-        raise ValueError(
-            f"distance spec has {len(distances.distances)} levels, hierarchy has {hierarchy.ell}"
-        )
     header, chunks = open_chunks(source)
     n = header.n
     if len(assignment) != n:
@@ -100,69 +179,19 @@ def evaluate(
             raise ValueError("a PE label lies outside the int64 range") from None
     if k is None:
         k = hierarchy.k if hierarchy is not None else int(labels.max())
+    if k > K_LIMIT:
+        raise ValueError(f"k={k} beyond supported {K_LIMIT}")
     bad = (labels < 1) | (labels > k)
     if bad.any():
         node = int(bad.argmax())
         if labels[node] == 0:
             raise ValueError(f"node {node} is unassigned")
         raise ValueError(f"node {node} carries PE {labels[node]} outside [1, {k}]")
-    ell = hierarchy.ell if hierarchy is not None else 0
-    dist = np.asarray(distances.distances, dtype=np.float64) if distances is not None else None
-    # np.add.at adds in index order, one element at a time, like the loop
-    block_weight = np.zeros(k)
-    block_float = np.zeros(k, dtype=bool)
-    layer_cut = np.zeros(ell + 1)
-    layer_float = np.zeros(ell + 1, dtype=bool)
-    node_total, edge_total, cut, cost = WeightSum(), WeightSum(), WeightSum(), WeightSum()
+    labels = np.ascontiguousarray(labels, dtype=np.int32)
+    sums = QualitySums(n, k, hierarchy, distances)
     for chunk in chunks:
-        ids = np.arange(chunk.first, chunk.first + chunk.count)
-        pes = labels[ids] - 1
-        np.add.at(block_weight, pes, chunk.node_w)
-        block_float[pes[chunk.node_floats()]] = True
-        node_total.add(chunk.node_w, chunk.node_float)
-        adj = chunk.adj[chunk.entries()]
-        u = np.repeat(ids, np.diff(chunk.indptr))
-        upper = adj["node"] > u
-        v = adj["node"][upper]
-        w = adj["weight"][upper]
-        floats = chunk.edge_floats()[upper]
-        edge_total.add(w, floats)
-        pu, pv = labels[u[upper]], labels[v]
-        crossing = pu != pv
-        w, floats = w[crossing], floats[crossing]
-        cut.add(w, floats)
-        if hierarchy is not None:
-            level = _shared_levels(hierarchy, pu[crossing], pv[crossing])
-            np.add.at(layer_cut, level, w)
-            layer_float[level[floats]] = True
-            if dist is not None:
-                cost.add(w * dist[level - 1], True)
-    heaviest = int(block_weight.argmax())
-    max_weight = block_weight[heaviest].item()
-    if not block_float[heaviest]:
-        max_weight = int(max_weight)
-    per_layer = [x if f else int(x) for x, f in zip(layer_cut.tolist(), layer_float.tolist())]
-    return QualityReport(
-        n=n,
-        k=k,
-        edge_cut=cut.value,
-        total_edge_weight=edge_total.value,
-        max_block_weight=max_weight,
-        imbalance=max_weight * k / node_total.value - 1.0,
-        mapping_cost=float(cost.value) if distances is not None else None,
-        per_layer_cut=per_layer[1:] if hierarchy is not None else None,
-    )
-
-
-def _shared_levels(spec: HierarchySpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`~streammap.hierarchy.shared_level` of each pair x[i] != y[i] of PEs."""
-    level = np.full(x.shape, spec.ell, dtype=np.int64)
-    ex, ey = x - 1, y - 1
-    module = spec.k  # PEs per module at the level below
-    for lv in range(spec.ell - 1, 0, -1):
-        module //= spec.levels[lv]
-        level[ex // module == ey // module] = lv
-    return level
+        sums.charge(chunk, labels)
+    return sums.report()
 
 
 def improvement(sigma_a: float, sigma_b: float) -> float:

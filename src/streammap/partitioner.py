@@ -12,7 +12,9 @@ the same descent over a depth-1 tree with k leaves.
 The descent runs in a small C kernel, ``_descent.c``, which places one CSR
 chunk of nodes (:func:`~streammap.graph_stream.open_chunks`) per call. It is
 part of streammap's C library, which ``_native`` compiles with the system
-``gcc`` on first use; a failed build raises OSError.
+``gcc`` on first use; a failed build raises OSError. Each placed chunk is
+then charged to the run's quality (:class:`~streammap.metrics.QualitySums`),
+so a run reports its quality without a second pass over the input.
 
 ``RunConfig`` (algorithm, eps, seed, hybrid_h) is the whole run
 configuration. One rule, :meth:`RunConfig.scored_levels`, says which tree
@@ -45,12 +47,14 @@ from .graph_stream import (
     total_node_weight,
 )
 from .hierarchy import (
+    DistanceSpec,
     HierarchySpec,
     MultiSectionTree,
     build_tree_explicit,
     build_tree_synth,
     compute_lmax,
 )
+from .metrics import QualityReport, QualitySums, evaluate
 from .scoring import ALGORITHMS, select_block
 
 __all__ = [
@@ -117,7 +121,11 @@ class RunConfig:
 
 @dataclass
 class PartitionResult:
-    """Final placement plus run accounting."""
+    """Final placement, its quality, and run accounting.
+
+    ``assign_seconds`` times the pass without the quality charge, which
+    ``evaluate_seconds`` times.
+    """
 
     assignment: np.ndarray  # int32, one 1-based PE id per node
     k: int
@@ -127,7 +135,9 @@ class PartitionResult:
     counters: RunCounters
     algorithm: str
     mode: str
+    quality: QualityReport
     assign_seconds: float = 0.0
+    evaluate_seconds: float = 0.0
 
     @property
     def n(self) -> int:
@@ -186,7 +196,9 @@ def _result_from_tree(
     counters: RunCounters,
     config: RunConfig,
     mode: str,
+    quality: QualityReport,
     seconds: float,
+    evaluate_seconds: float = 0.0,
 ) -> PartitionResult:
     arr = np.asarray(assignment, dtype=np.int32)
     if bool((arr == UNASSIGNED).any()):
@@ -202,11 +214,15 @@ def _result_from_tree(
         counters=counters,
         algorithm=config.algorithm,
         mode=mode,
+        quality=quality,
         assign_seconds=seconds,
+        evaluate_seconds=evaluate_seconds,
     )
 
 
-def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
+def partition_oms(source, tree: MultiSectionTree, config: RunConfig,
+                  hierarchy: HierarchySpec | None = None,
+                  distances: DistanceSpec | None = None) -> PartitionResult:
     """Single-pass recursive multi-section over ``tree``.
 
     Each node descends from the root to a leaf, which is its PE. The descent
@@ -215,7 +231,11 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
     bit. Resets tree weights, so a tree can be reused across runs,
     and leaves each block's final weight in ``Block.weight``. Candidate
     penalty constants must already be stamped (see :func:`prepare_tree`).
-    The total node weight is summed during the pass, in stream order.
+    Each chunk is charged to :class:`~streammap.metrics.QualitySums` right
+    after it is placed, so the result carries the quality that
+    :func:`~streammap.metrics.evaluate` gives for its assignment, with the
+    per-level cuts of ``hierarchy`` and the cost under ``distances`` when
+    they are given, and the total node weight, with no second pass.
     """
     scored_levels = config.scored_levels(tree.depth)
     fennel = config.algorithm == "fennel"
@@ -236,24 +256,29 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig) -> Partitio
                  capacity.ctypes.data, alpha.ctypes.data, weight.ctypes.data, term.ctypes.data,
                  int(kids.max()), scored_levels, fennel, config.seed % 2**64)
     counts = np.zeros(5, dtype=np.int64)  # RunCounters' fields, in order
-    total = np.zeros(1)
-    ints = True  # every node weight so far is an int token, so Python's sums would be ints
     started = time.perf_counter()
     # every reader checks that there are n records with neighbours in [0, n)
     header, chunks = open_chunks(source, chunk_nodes=CHUNK_NODES)
     assignment = np.zeros(header.n, dtype=np.int32)
-    run_args = (assignment.ctypes.data, counts.ctypes.data, total.ctypes.data)
+    sums = QualitySums(header.n, tree.k, hierarchy, distances)
+    run_args = (assignment.ctypes.data, counts.ctypes.data)
+    charge_s = 0.0
     for chunk in chunks:
         if lib.place_chunk(*tree_args, chunk.first, chunk.count, chunk.indptr.ctypes.data,
                            chunk.adj.ctypes.data, chunk.node_w.ctypes.data, *run_args):
             raise MemoryError("descent kernel could not allocate its scratch buffers")
-        ints = ints and not np.any(chunk.node_float)
-    seconds = time.perf_counter() - started
-    cast = int if ints else float
+        charged = time.perf_counter()
+        sums.charge(chunk, assignment)
+        charge_s += time.perf_counter() - charged
+    seconds = time.perf_counter() - started - charge_s
+    total = sums.total_node_weight
+    # block weights are ints when every node weight was an int token
+    cast = type(total)
     for b, w in zip(blocks, weight.tolist()):
         b.weight = cast(w)
     counters = RunCounters(*(int(c) for c in counts))
-    return _result_from_tree(tree, assignment, cast(total[0]), counters, config, "oms", seconds)
+    return _result_from_tree(tree, assignment, total, counters, config, "oms", sums.report(),
+                             seconds, charge_s)
 
 
 def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
@@ -308,7 +333,9 @@ def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> Pa
         current = placed
     seconds = time.perf_counter() - started
     assignment = [blocks[b].cover_lo for b in current]
-    return _result_from_tree(tree, assignment, total, counters, config, "multipass", seconds)
+    quality = evaluate(source, assignment, k=tree.k)
+    return _result_from_tree(tree, assignment, total, counters, config, "multipass", quality,
+                             seconds)
 
 
 def partition_flat(source, k: int, config: RunConfig) -> PartitionResult:

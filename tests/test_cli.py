@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from streammap import graph_stream
 from streammap.cli import main
 from streammap.graph_stream import load_graph
 
@@ -199,6 +200,26 @@ class TestEval:
         assert [type(x) for x in quality["per_layer_cut"]] == [int, float]
         assert quality["mapping_cost"] == 6.0 and type(quality["mapping_cost"]) is float
 
+    @pytest.mark.parametrize("run, scoring", [
+        (["partition", "--k", "3"], []),
+        (["map", "--hierarchy", "3"], ["--hierarchy", "3", "--distances", "5"]),
+    ])
+    def test_asymmetric_edge_weights_charge_the_later_row(self, tmp_path, run, scoring):
+        # rows 1 and 2 give their edge the weights 1 and 3; eps 0 leaves each
+        # node alone on its PE, so both edges are cut
+        graph = tmp_path / "a.graph"
+        graph.write_text("3 2 1\n2 1 3 1\n1 3\n1 1\n")
+        part, report, eval_report = tmp_path / "p.part", tmp_path / "r.json", tmp_path / "e.json"
+        assert main([*run, "--input", str(graph), "--eps", "0", *scoring[2:],
+                     "--output", str(part), "--report", str(report)]) == 0
+        assert main(["eval", "--input", str(graph), "--partition", str(part), *scoring,
+                     "--report", str(eval_report)]) == 0
+        emitted = json.loads(report.read_text())["quality"]
+        assert emitted == json.loads(eval_report.read_text())["quality"]
+        assert emitted["edge_cut"] == emitted["total_edge_weight"] == 3 + 1
+        if scoring:
+            assert emitted["mapping_cost"] == 5.0 * (3 + 1)
+
     def test_eval_without_hierarchy(self, graph_file, tmp_path):
         part = tmp_path / "p.part"
         assert main(["partition", "--input", str(graph_file), "--k", "4",
@@ -282,6 +303,25 @@ class TestBench:
         assert all(int(r["k"]) == 8 for r in rows)
 
 
+class TestOnePass:
+    @pytest.mark.parametrize("fmt, reads", [("", 1), (" 10", 2)])
+    def test_a_streamed_job_reads_the_body_once(self, tmp_path, monkeypatch, fmt, reads):
+        # the placing pass reports quality; weighted nodes add the pass
+        # that sums the total weight for the capacities
+        graph = tmp_path / "g.graph"
+        weight = "2 " if fmt else ""
+        graph.write_text(f"3 2{fmt}\n{weight}2\n{weight}1 3\n{weight}2\n")
+        opened = []
+        read = graph_stream._native_chunks
+        monkeypatch.setattr(graph_stream, "_native_chunks",
+                            lambda *args: opened.append(args) or read(*args))
+        report = tmp_path / "r.json"
+        assert main(["map", "--input", str(graph), "--hierarchy", "2:2",
+                     "--distances", "1:10", "--report", str(report)]) == 0
+        assert len(opened) == reads
+        assert json.loads(report.read_text())["quality"]["total_edge_weight"] == 2
+
+
 class TestBadGraphFiles:
     """A malformed graph file exits 1 with one line naming the file line."""
 
@@ -305,9 +345,11 @@ class TestBadGraphFiles:
         err = self.run(tmp_path, capsys, f"2 1 1\n2 1\n1 {token}\n".encode(), *preload)
         assert f"line 3: edge weight must be finite, got {token}" in err
 
-    def test_header_beyond_the_file(self, tmp_path, capsys):
-        # n records need n bytes; the reader must not size arrays by this n
-        err = self.run(tmp_path, capsys, b"1000000000000 0\n\n", "--preload")
+    @pytest.mark.parametrize("preload", [[], ["--preload"]])
+    def test_header_beyond_the_file(self, tmp_path, capsys, preload):
+        # n records need n bytes; neither the reader nor the pass may size
+        # arrays by this n
+        err = self.run(tmp_path, capsys, b"1000000000000 0\n\n", *preload)
         assert "fewer records than n=1000000000000: got 1" in err
 
     @pytest.mark.parametrize("preload", [[], ["--preload"]])

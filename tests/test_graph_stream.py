@@ -193,6 +193,23 @@ class TestGenerators:
         assert back.records == g.records
 
 
+@pytest.mark.parametrize("text", [
+    "2 1 1\n2 2.0\n1 2.0\n",
+    "3 2 11\n1.0 2 2.0 3 1\n2 1 2.0\n0.5 1 1\n",
+])
+def test_metis_round_trip_keeps_weight_types(tmp_path, text):
+    # a float token such as 2.0 must not come back as the int 2
+    graph = load_graph(io.StringIO(text))
+    path = tmp_path / "round.graph"
+    write_metis(graph, path)
+    back = load_graph(path)
+    assert back.header == graph.header
+    assert _joined([back.csr]) == _joined([graph.csr])
+    assert [type(r.weight) for r in back.records] == [type(r.weight) for r in graph.records]
+    assert [type(w) for r in back.records for _, w in r.neighbors] == [
+        type(w) for r in graph.records for _, w in r.neighbors]
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph=metis_graphs(max_n=25))
 def test_metis_round_trip_every_format(graph):

@@ -1,17 +1,34 @@
 from __future__ import annotations
 
+import io
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_edges, triangle
-from streammap.graph_stream import GraphHeader, InMemoryGraph, NodeRecord, random_geometric
-from streammap.hierarchy import parse_distances, parse_hierarchy, shared_level
+from streammap.graph_stream import (
+    GraphHeader,
+    InMemoryGraph,
+    NodeRecord,
+    load_graph,
+    random_geometric,
+    write_metis,
+)
+from streammap.hierarchy import (
+    DistanceSpec,
+    HierarchySpec,
+    parse_distances,
+    parse_hierarchy,
+    shared_level,
+)
 from streammap.metrics import (
     ProfilePoint,
+    QualityReport,
     aggregate,
     arithmetic_mean,
     evaluate,
@@ -19,6 +36,8 @@ from streammap.metrics import (
     improvement,
     performance_profile,
 )
+from streammap.partitioner import RunConfig, partition_oms, prepare_tree
+from streammap.scoring import ALGORITHMS
 
 
 class TestEvaluate:
@@ -101,6 +120,9 @@ class TestEvaluate:
         for huge in (2**63, 10**20):
             with pytest.raises(ValueError, match="outside"):
                 evaluate(triangle(), [1, huge, 1], k=2)
+        # labels are charged as int32, so k is capped as the trees cap it
+        with pytest.raises(ValueError, match="beyond supported"):
+            evaluate(triangle(), [1, 2**31, 1])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="slots"):
@@ -112,7 +134,8 @@ class TestEvaluate:
 
     def test_sums_in_node_order_like_a_loop(self):
         # 0.1-type weights round differently in another order, so this holds
-        # every total to the order of a Python loop over the records
+        # every total to the order of a Python loop over the records that
+        # charges each edge at its later endpoint
         g = random_geometric(3000, seed=4)
         rnd = random.Random(4)
         edge_w: dict[tuple[int, int], float] = {}
@@ -132,7 +155,7 @@ class TestEvaluate:
         for rec in records:
             block[assignment[rec.id] - 1] += rec.weight
             for v, w in rec.neighbors:
-                if v < rec.id:
+                if v > rec.id:
                     continue
                 total_edge += w
                 pu, pv = assignment[rec.id], assignment[v]
@@ -154,6 +177,117 @@ class TestEvaluate:
         )
         assignment = [(i % 3) + 1 for i in range(g.n)]
         assert evaluate(g, assignment).to_dict() == evaluate(shuffled, assignment).to_dict()
+
+
+_TOKENS = ["1", "2", "3", "2.0", "0.1", "0.7", "1.3"]
+
+
+@st.composite
+def charged_texts(draw):
+    """(METIS text, sanitize): any fmt, int and 0.1-type float tokens, the two
+    rows of an edge weighting it independently, and, for sanitize, self
+    loops and duplicates that the reader drops."""
+    n = draw(st.integers(1, 40))
+    fmt = draw(st.sampled_from([0, 1, 10, 11]))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    sanitize = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    rows: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    m = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < density:
+                rows[u].append((v, rnd.choice(_TOKENS)))
+                rows[v].append((u, rnd.choice(_TOKENS)))
+                m += 1
+    lines = [f"{n} {m} {fmt}"]
+    for u, entries in enumerate(rows):
+        rnd.shuffle(entries)
+        if sanitize and rnd.random() < 0.3:
+            entries.insert(rnd.randrange(len(entries) + 1), (u, rnd.choice(_TOKENS)))
+        if sanitize and entries and rnd.random() < 0.3:
+            entries.append((rnd.choice(entries)[0], rnd.choice(_TOKENS)))
+        tokens = [rnd.choice(_TOKENS)] if fmt >= 10 else []
+        for v, w in entries:
+            tokens += [str(v + 1), w] if fmt % 10 == 1 else [str(v + 1)]
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n", sanitize
+
+
+def _loop_quality(records: list[NodeRecord], labels: list[int], k: int,
+                  spec: HierarchySpec | None,
+                  dist: DistanceSpec | None) -> tuple[QualityReport, int | float]:
+    """Quality and total node weight, as a loop over the rows that charges
+    each edge at its later endpoint, with that row's weight."""
+    node_total = edge_total = cut = 0
+    cost = 0.0
+    block = [0] * k
+    per_layer = [0] * spec.ell if spec is not None else None
+    for rec in records:
+        pv = labels[rec.id]
+        node_total += rec.weight
+        block[pv - 1] += rec.weight
+        for u, w in rec.neighbors:
+            if u > rec.id:
+                continue
+            edge_total += w
+            pu = labels[u]
+            if pu != pv:
+                cut += w
+                if spec is not None:
+                    level = shared_level(spec, pu, pv)
+                    per_layer[level - 1] += w
+                    if dist is not None:
+                        cost += w * dist.distances[level - 1]
+    heaviest = max(block)
+    report = QualityReport(len(records), k, cut, edge_total, heaviest,
+                           heaviest * k / node_total - 1.0,
+                           cost if dist is not None else None, per_layer)
+    return report, node_total
+
+
+def _typed(report: QualityReport) -> list:
+    values = report.to_dict()
+    values.update(enumerate(values.pop("per_layer_cut", [])))
+    return sorted((str(key), type(x), x) for key, x in values.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=charged_texts(), data=st.data())
+def test_run_quality_equals_evaluate_and_a_loop(drawn, data):
+    text, sanitize = drawn
+    graph = load_graph(io.StringIO(text), sanitize)
+    if data.draw(st.booleans(), "explicit hierarchy"):
+        levels = data.draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3))
+        spec = HierarchySpec(tuple(levels))
+        dist = data.draw(st.none() | st.lists(
+            st.sampled_from([0.5, 1.0, 3.0, 10.0]), min_size=spec.ell, max_size=spec.ell
+        ).map(lambda d: DistanceSpec(tuple(sorted(d)))))
+        tree, _ = prepare_tree(graph, hierarchy=spec)
+    else:
+        spec = dist = None
+        k = data.draw(st.integers(1, 12))
+        tree, _ = prepare_tree(graph, k=k, base=data.draw(st.integers(2, 5)))
+    hybrid_h = data.draw(st.none() | st.integers(0, tree.depth))
+    config = RunConfig(algorithm=data.draw(st.sampled_from(ALGORITHMS)), hybrid_h=hybrid_h,
+                       seed=data.draw(st.integers(0, 3)))
+    form = data.draw(st.sampled_from(["memory", "path", "handle"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.graph"
+        write_metis(graph, path)
+
+        def source():
+            if form == "memory":
+                return graph
+            return str(path) if form == "path" else io.StringIO(path.read_text())
+
+        result = partition_oms(source(), tree, config, spec, dist)
+        evaluated = evaluate(source(), result.assignment, k=tree.k, hierarchy=spec,
+                             distances=dist)
+    looped, node_total = _loop_quality(graph.records, result.assignment.tolist(), tree.k,
+                                       spec, dist)
+    assert _typed(result.quality) == _typed(evaluated) == _typed(looped)
+    assert (type(result.total_weight), result.total_weight) == (type(node_total), node_total)
 
 
 class TestImprovement:
