@@ -23,7 +23,6 @@ from .graph_stream import (
     write_metis,
 )
 from .hierarchy import (
-    Block,
     DistanceSpec,
     HierarchySpec,
     MultiSectionTree,
@@ -45,7 +44,6 @@ from .metrics import (
     improvement,
     performance_profile,
 )
-from .oracle import TinyInstance, brute_force_best, check_equivalence
 from .partitioner import (
     PartitionResult,
     RunConfig,

@@ -239,24 +239,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _partition(source, config: RunConfig, k: int | None = None,
+def _partition(source, config: RunConfig, k: int | None = None, base: int | None = None,
+               explicit: HierarchySpec | None = None,
                hierarchy: HierarchySpec | None = None,
-               base: int | None = None,
                distances: DistanceSpec | None = None) -> PartitionResult:
     """Plan and run one partitioning; every subcommand that partitions comes here.
 
-    A ``hierarchy`` selects a descent of its explicit tree, whose quality
-    includes per-level cuts and the cost under ``distances``; a ``base`` a
-    descent of a synthesized base-b tree for ``k`` blocks; with neither the
-    run is the flat k-way baseline.
+    The tree is that of the ``explicit`` hierarchy when one is given, else a
+    synthesized base-b tree for ``k`` blocks when ``base`` is given, else
+    the depth-1 tree of the flat k-way baseline. ``hierarchy`` and
+    ``distances`` only add per-level cuts and the communication cost to the
+    quality the pass charges.
     """
-    if hierarchy is not None:
-        tree, _ = prepare_tree(source, hierarchy=hierarchy, eps=config.eps)
-        return partition_oms(source, tree, config, hierarchy, distances)
-    if base is not None:
+    if explicit is not None:
+        tree, _ = prepare_tree(source, hierarchy=explicit, eps=config.eps)
+    elif base is not None:
         tree, _ = prepare_tree(source, k=k, base=base, eps=config.eps)
-        return partition_oms(source, tree, config)
-    return partition_flat(source, k, config)
+    else:
+        return partition_flat(source, k, config, hierarchy, distances)
+    return partition_oms(source, tree, config, hierarchy, distances)
 
 
 def cmd_run(args) -> int:
@@ -266,8 +267,8 @@ def cmd_run(args) -> int:
     dist = parse_distances(args.distances) if args.distances else None
     config = RunConfig(algorithm=args.algorithm, eps=args.eps, seed=args.seed,
                        hybrid_h=args.hybrid_h)
-    result = _partition(source, config, k=args.k, hierarchy=spec, base=args.base,
-                        distances=dist)
+    result = _partition(source, config, k=args.k, base=args.base, explicit=spec,
+                        hierarchy=spec, distances=dist)
     if spec is not None:
         extra_run = {"hierarchy": args.hierarchy, "distances": args.distances}
     elif args.base is not None:
@@ -342,19 +343,19 @@ def _bench_settings(args) -> dict:
     return settings
 
 
-def _bench_run(alg: str, source, settings, spec, seed: int) -> PartitionResult:
+def _bench_run(alg: str, source, settings, spec, dist, seed: int) -> PartitionResult:
+    """One repetition; its quality is charged with the bench's hierarchy and
+    distances, whatever tree ``alg`` descends."""
     config = RunConfig(
         algorithm="fennel" if alg in ("nh-oms", "oms") else alg,
         eps=settings["eps"], seed=seed,
     )
-    k = spec.k if spec is not None else settings["k"]
-    if alg == "oms":
-        if spec is None:
-            raise ValueError("algorithm 'oms' needs --hierarchy")
-        return _partition(source, config, hierarchy=spec)
-    if alg == "nh-oms":
-        return _partition(source, config, k=k, base=settings["base"])
-    return _partition(source, config, k=k)
+    if alg == "oms" and spec is None:
+        raise ValueError("algorithm 'oms' needs --hierarchy")
+    return _partition(source, config, k=spec.k if spec is not None else settings["k"],
+                      base=settings["base"] if alg == "nh-oms" else None,
+                      explicit=spec if alg == "oms" else None,
+                      hierarchy=spec, distances=dist)
 
 
 def cmd_bench(args) -> int:
@@ -375,9 +376,8 @@ def cmd_bench(args) -> int:
             js: list[float] = []
             for rep in range(settings["reps"]):
                 seed = settings["seed"] + rep
-                result = _bench_run(alg, source, settings, spec, seed)
-                quality = evaluate(source, result.assignment, k=result.k,
-                                   hierarchy=spec, distances=dist)
+                result = _bench_run(alg, source, settings, spec, dist, seed)
+                quality = result.quality
                 cuts.append(float(quality.edge_cut))
                 if quality.mapping_cost is not None:
                     js.append(quality.mapping_cost)

@@ -496,9 +496,21 @@ class InMemoryGraph:
         return GraphStream(self.header, iter(self.records))
 
     def to_metis_lines(self) -> Iterator[str]:
+        """The graph as METIS text, header first.
+
+        The header's m is half the adjacency entries written, not
+        ``header.m``: a sanitized graph keeps its file's m, which may count
+        the entries it dropped. An odd entry count cannot be written as a
+        valid file, so it raises ValueError.
+        """
         h = self.header
+        entries = (sum(len(rec.neighbors) for rec in self._records)
+                   if self._records is not None else self.csr.adj.shape[0])
+        if entries % 2:
+            raise ValueError(f"cannot write {entries} adjacency entries as METIS: "
+                             "an undirected graph lists each edge twice")
         fmt = (10 if h.has_node_weights else 0) + (1 if h.has_edge_weights else 0)
-        yield f"{h.n} {h.m} {fmt}" if fmt else f"{h.n} {h.m}"
+        yield f"{h.n} {entries // 2} {fmt}" if fmt else f"{h.n} {entries // 2}"
         # rows of a graph of arrays are made one at a time, not kept
         for rec in self._records if self._records is not None else _rows(self.csr):
             # str writes an int token as an int and a float one as a float
@@ -694,8 +706,11 @@ def total_node_weight(source: str | Path | io.TextIOBase | InMemoryGraph) -> int
 
 
 def write_metis(graph: InMemoryGraph, path: str | Path) -> None:
+    lines = graph.to_metis_lines()
+    header = next(lines)  # a graph that cannot be written raises before the file is made
     with open(path, "w", encoding="ascii") as out:
-        for line in graph.to_metis_lines():
+        out.write(header + "\n")
+        for line in lines:
             out.write(line)
             out.write("\n")
 

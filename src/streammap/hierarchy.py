@@ -9,24 +9,25 @@ level.
 A multi-section tree arranges the k final blocks under nested super-blocks.
 It is either derived from an explicit hierarchy (one tree level per hierarchy
 layer) or synthesized for arbitrary k by recursive near-equal range splitting
-with a branching base b. Every block covers a contiguous PE range
-[cover_lo, cover_hi]; its capacity is t * lmax where t is the number of PEs
-covered, and its score-penalty constant shrinks with sqrt(t).
+with a branching base b. Every block covers a contiguous PE range [lo, hi];
+its capacity is t * lmax where t is the number of PEs covered, and its
+score-penalty constant shrinks with sqrt(t).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "K_LIMIT",
     "HierarchySpec",
     "DistanceSpec",
-    "Block",
     "MultiSectionTree",
     "parse_hierarchy",
     "parse_distances",
@@ -125,82 +126,47 @@ def compute_lmax(total_node_weight: int | float, k: int, eps: float = 0.0) -> in
     return int(math.ceil((1 + eps_frac) * total / k))
 
 
-@dataclass(slots=True)
-class Block:
-    """One node of a multi-section tree.
-
-    ``weight`` is the only field mutated during partitioning; every other
-    field is frozen after construction. ``alpha`` is the additive-penalty
-    constant used when this block is a scoring candidate; it is stamped per
-    graph via :meth:`MultiSectionTree.set_alphas`.
-    """
-
-    id: int
-    parent: int | None
-    depth: int
-    cover_lo: int
-    cover_hi: int
-    capacity: int | float
-    pos: int = 0  # index within parent's children
-    children: list[int] = field(default_factory=list)
-    weight: int | float = 0
-    alpha: float = 0.0
-
-    @property
-    def covered(self) -> int:
-        return self.cover_hi - self.cover_lo + 1
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 class MultiSectionTree:
-    """Arena of blocks; blocks[0] is the root covering the full PE range.
+    """A multi-section tree as one array per block field; block 0 is the root.
 
-    The root is virtual: it is never a scoring candidate and its weight is
-    never updated, so the tracked weight cells are exactly the non-root
-    blocks (at most 2k of them when every branching factor is >= 2).
-    Children of any block occupy consecutive arena slots.
+    Block b covers PEs ``lo[b]`` .. ``hi[b]`` and has ``kids[b]`` children,
+    which hold the consecutive ids ``first_kid[b]`` .. ``first_kid[b] +
+    kids[b] - 1`` (``first_kid`` is 0 for a leaf). ``capacity[b]`` is the
+    number of PEs covered times lmax, and ``alpha[b]`` the score-penalty
+    constant of the block as a candidate, stamped per graph by
+    :meth:`set_alphas`. ``weight`` is filled by the descent. The root is
+    never a candidate and its weight never changes, so the weight cells are
+    the non-root blocks, at most 2k of them when every fan-out is >= 2.
     """
 
-    def __init__(self, blocks: list[Block], k: int, lmax: int | float):
-        self.blocks = blocks
+    def __init__(self, first_kid: list[int], kids: list[int], lo: list[int], hi: list[int],
+                 k: int, lmax: int | float, depth: int):
+        self.first_kid = np.array(first_kid, dtype=np.int64)
+        self.kids = np.array(kids, dtype=np.int64)
+        self.lo = np.array(lo, dtype=np.int64)
+        self.hi = np.array(hi, dtype=np.int64)
+        self.capacity = (self.hi - self.lo + 1).astype(np.float64) * lmax
+        self.alpha = np.zeros(self.lo.shape[0])
+        self.weight = np.zeros(self.lo.shape[0])
         self.k = k
         self.lmax = lmax
-        self.depth = max(b.depth for b in blocks)
-        self._kids: list[list[Block]] = [[blocks[c] for c in b.children] for b in blocks]
-
-    @property
-    def root(self) -> Block:
-        return self.blocks[0]
+        self.depth = depth
+        self.max_kids = int(self.kids.max())
 
     @property
     def num_weight_cells(self) -> int:
-        return len(self.blocks) - 1
+        return self.lo.shape[0] - 1
 
-    def children_of(self, block: Block) -> list[Block]:
-        return self._kids[block.id]
-
-    def leaves(self) -> list[Block]:
-        return [b for b in self.blocks if b.is_leaf]
-
-    def leaf_weights(self) -> list[int | float]:
-        out: list[int | float] = [0] * self.k
-        for b in self.blocks:
-            if b.is_leaf:
-                out[b.cover_lo - 1] = b.weight
+    def leaf_weights(self, weight: np.ndarray) -> np.ndarray:
+        """Per PE, in PE order, the entry of ``weight`` (one per block) at its leaf."""
+        leaf = self.kids == 0
+        out = np.zeros(self.k)
+        out[self.lo[leaf] - 1] = weight[leaf]
         return out
-
-    def reset_weights(self) -> None:
-        for b in self.blocks:
-            b.weight = 0
 
     def set_alphas(self, n: int, m: int) -> None:
         """Stamp per-block penalty constants for a graph with n nodes, m edges."""
-        a = global_alpha(n, m, self.k)
-        for b in self.blocks:
-            b.alpha = a / math.sqrt(b.covered)
+        self.alpha = global_alpha(n, m, self.k) / np.sqrt(self.hi - self.lo + 1)
 
 
 def _split_sizes(t: int, parts: int) -> list[int]:
@@ -209,39 +175,36 @@ def _split_sizes(t: int, parts: int) -> list[int]:
     return [q + 1] * r + [q] * (parts - r)
 
 
-def _build_tree(k: int, lmax: int | float, fanout: Callable[[Block], int]) -> MultiSectionTree:
+def _build_tree(k: int, lmax: int | float, fanout: Callable[[int, int], int]) -> MultiSectionTree:
     """Recursive range splitting of PEs 1..k.
 
-    A block covering t > 1 PEs gets ``fanout(block)`` children over
-    near-equal contiguous subranges (sizes differing by at most one, larger
-    parts first); recursion stops at singletons. Children take consecutive
-    ids in depth-first order, and each block's capacity is t * lmax.
+    A block at depth d covering t > 1 PEs gets ``fanout(d, t)`` children
+    over near-equal contiguous subranges (sizes differing by at most one,
+    larger parts first); splitting stops at singletons. Ids are handed out
+    depth first: a block's children take consecutive ids when it is split,
+    and the subtree of each child is split before its next sibling.
     """
-    blocks = [Block(id=0, parent=None, depth=0, cover_lo=1, cover_hi=k, capacity=k * lmax)]
-
-    def grow(parent: Block) -> None:
-        t = parent.covered
-        if t == 1:
-            return
-        lo = parent.cover_lo
-        for pos, size in enumerate(_split_sizes(t, fanout(parent))):
-            kid = Block(
-                id=len(blocks),
-                parent=parent.id,
-                depth=parent.depth + 1,
-                cover_lo=lo,
-                cover_hi=lo + size - 1,
-                capacity=size * lmax,
-                pos=pos,
-            )
-            blocks.append(kid)
-            parent.children.append(kid.id)
-            lo += size
-        for c in parent.children:
-            grow(blocks[c])
-
-    grow(blocks[0])
-    return MultiSectionTree(blocks, k=k, lmax=lmax)
+    first_kid, kids, lo, hi = [0], [0], [1], [k]
+    depth = 0
+    stack = [(0, 0)] if k > 1 else []  # (block, its depth), blocks still to split
+    while stack:
+        b, d = stack.pop()
+        t = hi[b] - lo[b] + 1
+        sizes = _split_sizes(t, fanout(d, t))
+        first_kid[b], kids[b] = len(lo), len(sizes)
+        split = []
+        start = lo[b]
+        for size in sizes:
+            if size > 1:
+                split.append((len(lo), d + 1))
+            lo.append(start)
+            start += size
+            hi.append(start - 1)
+        first_kid += [0] * len(sizes)
+        kids += [0] * len(sizes)
+        depth = max(depth, d + 1)
+        stack += reversed(split)
+    return MultiSectionTree(first_kid, kids, lo, hi, k, lmax, depth)
 
 
 def build_tree_explicit(spec: HierarchySpec, lmax: int | float) -> MultiSectionTree:
@@ -251,7 +214,7 @@ def build_tree_explicit(spec: HierarchySpec, lmax: int | float) -> MultiSectionT
     down to the k leaves; a block containing t final blocks gets capacity
     t * lmax.
     """
-    return _build_tree(spec.k, lmax, lambda b: spec.levels[spec.ell - 1 - b.depth])
+    return _build_tree(spec.k, lmax, lambda depth, t: spec.levels[spec.ell - 1 - depth])
 
 
 def build_tree_synth(k: int, base: int, lmax: int | float) -> MultiSectionTree:
@@ -265,7 +228,7 @@ def build_tree_synth(k: int, base: int, lmax: int | float) -> MultiSectionTree:
         raise ValueError(f"k={k} beyond supported {K_LIMIT}")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return _build_tree(k, lmax, lambda b: min(base, b.covered))
+    return _build_tree(k, lmax, lambda depth, t: min(base, t))
 
 
 def global_alpha(n: int, m: int, k: int) -> float:

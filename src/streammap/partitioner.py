@@ -193,6 +193,7 @@ def _result_from_tree(
     tree: MultiSectionTree,
     assignment: list[int] | np.ndarray,
     total: int | float,
+    weight: np.ndarray,
     counters: RunCounters,
     config: RunConfig,
     mode: str,
@@ -203,6 +204,8 @@ def _result_from_tree(
     arr = np.asarray(assignment, dtype=np.int32)
     if bool((arr == UNASSIGNED).any()):
         raise RuntimeError("pass ended with unassigned nodes")
+    # block weights are ints when every node weight was an int token
+    cast = type(total)
     return PartitionResult(
         assignment=arr,
         k=tree.k,
@@ -210,7 +213,8 @@ def _result_from_tree(
         total_weight=total,
         # a root-only tree (k=1) places every node on the root, whose weight
         # the drivers never update
-        leaf_weights=tree.leaf_weights() if tree.depth else [total],
+        leaf_weights=([cast(w) for w in tree.leaf_weights(weight).tolist()] if tree.depth
+                      else [total]),
         counters=counters,
         algorithm=config.algorithm,
         mode=mode,
@@ -227,34 +231,28 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig,
 
     Each node descends from the root to a leaf, which is its PE. The descent
     runs in the compiled kernel (``_descent.c``), one call per CSR chunk of
-    ``CHUNK_NODES`` nodes; it makes :func:`select_block`'s decisions bit for
-    bit. Resets tree weights, so a tree can be reused across runs,
-    and leaves each block's final weight in ``Block.weight``. Candidate
-    penalty constants must already be stamped (see :func:`prepare_tree`).
-    Each chunk is charged to :class:`~streammap.metrics.QualitySums` right
-    after it is placed, so the result carries the quality that
-    :func:`~streammap.metrics.evaluate` gives for its assignment, with the
-    per-level cuts of ``hierarchy`` and the cost under ``distances`` when
-    they are given, and the total node weight, with no second pass.
+    ``CHUNK_NODES`` nodes, on the tree's own arrays; it makes
+    :func:`select_block`'s decisions bit for bit. It zeroes
+    ``tree.weight`` first, so a tree can be reused across runs, and leaves
+    each block's final weight there. Candidate penalty constants must
+    already be stamped (see :func:`prepare_tree`). Each chunk is charged to
+    :class:`~streammap.metrics.QualitySums` right after it is placed, so the
+    result carries the quality that :func:`~streammap.metrics.evaluate`
+    gives for its assignment, with the per-level cuts of ``hierarchy`` and
+    the cost under ``distances`` when they are given, and the total node
+    weight, with no second pass.
     """
     scored_levels = config.scored_levels(tree.depth)
     fennel = config.algorithm == "fennel"
     lib = library()
-    blocks = tree.blocks
-    nb = len(blocks)
-    first_kid = np.fromiter((b.children[0] if b.children else 0 for b in blocks), np.int64, nb)
-    kids = np.fromiter((len(b.children) for b in blocks), np.int64, nb)
-    lo = np.fromiter((b.cover_lo for b in blocks), np.int64, nb)
-    hi = np.fromiter((b.cover_hi for b in blocks), np.int64, nb)
-    capacity = np.fromiter((b.capacity for b in blocks), np.float64, nb)
-    alpha = np.fromiter((b.alpha for b in blocks), np.float64, nb)
-    weight = np.zeros(nb)
+    tree.weight[:] = 0.0
     # each block's penalty term at weight 0: fennel's alpha * 1.5 * sqrt(0),
     # ldg's 1 - 0 / capacity; the kernel keeps it current as weights grow
-    term = np.full(nb, 0.0 if fennel else 1.0)
-    tree_args = (first_kid.ctypes.data, kids.ctypes.data, lo.ctypes.data, hi.ctypes.data,
-                 capacity.ctypes.data, alpha.ctypes.data, weight.ctypes.data, term.ctypes.data,
-                 int(kids.max()), scored_levels, fennel, config.seed % 2**64)
+    term = np.full(tree.weight.shape[0], 0.0 if fennel else 1.0)
+    tree_args = (tree.first_kid.ctypes.data, tree.kids.ctypes.data, tree.lo.ctypes.data,
+                 tree.hi.ctypes.data, tree.capacity.ctypes.data, tree.alpha.ctypes.data,
+                 tree.weight.ctypes.data, term.ctypes.data, tree.max_kids, scored_levels,
+                 fennel, config.seed % 2**64)
     counts = np.zeros(5, dtype=np.int64)  # RunCounters' fields, in order
     started = time.perf_counter()
     # every reader checks that there are n records with neighbours in [0, n)
@@ -271,14 +269,9 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig,
         sums.charge(chunk, assignment)
         charge_s += time.perf_counter() - charged
     seconds = time.perf_counter() - started - charge_s
-    total = sums.total_node_weight
-    # block weights are ints when every node weight was an int token
-    cast = type(total)
-    for b, w in zip(blocks, weight.tolist()):
-        b.weight = cast(w)
     counters = RunCounters(*(int(c) for c in counts))
-    return _result_from_tree(tree, assignment, total, counters, config, "oms", sums.report(),
-                             seconds, charge_s)
+    return _result_from_tree(tree, assignment, sums.total_node_weight, tree.weight, counters,
+                             config, "oms", sums.report(), seconds, charge_s)
 
 
 def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> PartitionResult:
@@ -286,15 +279,16 @@ def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> Pa
 
     Sweep d refines every node one level deeper; nodes already sitting on a
     leaf carry their placement through later sweeps. ``tree`` comes from
-    :func:`prepare_tree`, as for :func:`partition_oms`. Requires a
-    re-openable source.
+    :func:`prepare_tree`, as for :func:`partition_oms`; its arrays are read,
+    never written. Requires a re-openable source.
     """
     header = peek_header(source)
     total = _resolve_total(source, header)
     scored_levels = config.scored_levels(tree.depth)
-    tree.reset_weights()
     counters = RunCounters()
-    blocks = tree.blocks
+    first_kid, kids = tree.first_kid.tolist(), tree.kids.tolist()
+    capacity, alpha = tree.capacity.tolist(), tree.alpha.tolist()
+    weight: list[int | float] = [0] * len(kids)
     n = header.n
     current = [0] * n  # block id per node; starts at the root
     started = time.perf_counter()
@@ -306,47 +300,50 @@ def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> Pa
             counters.nodes_processed += 1
             counters.edges_scanned += len(rec.neighbors)
             nid = rec.id
-            parent = blocks[current[nid]]
-            if parent.is_leaf:
-                placed[nid] = parent.id
+            pid = current[nid]
+            s = kids[pid]
+            if s == 0:
+                placed[nid] = pid
                 continue
-            kids = tree.children_of(parent)
-            s = len(kids)
+            first = first_kid[pid]
             counts = [0.0] * s
-            pid = parent.id
             for v, w in rec.neighbors:
-                b = placed[v]
-                if b >= 0 and blocks[b].parent == pid:
-                    counts[blocks[b].pos] += w
-            j, overflow = select_block(
-                kids, counts, rec.weight, algorithm, config.seed, nid, parent_id=pid
-            )
+                # a placed neighbour counts when its block is a child of pid
+                c = placed[v] - first
+                if 0 <= c < s:
+                    counts[c] += w
+            run = slice(first, first + s)
+            j, overflow = select_block(weight[run], capacity[run], alpha[run], counts,
+                                       rec.weight, algorithm, config.seed, nid, parent_id=pid)
             if hashed:
                 counters.hash_assignments += 1
             else:
                 counters.score_evaluations += s
             if overflow:
                 counters.overflow_events += 1
-            chosen = kids[j]
-            chosen.weight += rec.weight
-            placed[nid] = chosen.id
+            weight[first + j] += rec.weight
+            placed[nid] = first + j
         current = placed
     seconds = time.perf_counter() - started
-    assignment = [blocks[b].cover_lo for b in current]
+    lo = tree.lo.tolist()
+    assignment = [lo[b] for b in current]
     quality = evaluate(source, assignment, k=tree.k)
-    return _result_from_tree(tree, assignment, total, counters, config, "multipass", quality,
-                             seconds)
+    return _result_from_tree(tree, assignment, total, np.array(weight, dtype=np.float64),
+                             counters, config, "multipass", quality, seconds)
 
 
-def partition_flat(source, k: int, config: RunConfig) -> PartitionResult:
+def partition_flat(source, k: int, config: RunConfig,
+                   hierarchy: HierarchySpec | None = None,
+                   distances: DistanceSpec | None = None) -> PartitionResult:
     """Classical one-pass k-way partitioning: the descent of a depth-1 tree.
 
     Scored rules evaluate all k blocks per node; hashing places each node
     with a single hash plus a forward probe when its target is full. At k=1
     the tree is its root alone, so nodes are placed without any selection
-    being counted.
+    being counted. ``hierarchy`` and ``distances`` only add to the charged
+    quality, as for :func:`partition_oms`.
     """
     tree, _ = prepare_tree(source, k=k, base=max(k, 2), eps=config.eps)
-    result = partition_oms(source, tree, config)
+    result = partition_oms(source, tree, config, hierarchy, distances)
     result.mode = "flat"
     return result

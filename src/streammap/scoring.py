@@ -12,9 +12,10 @@ rule its ``algorithm`` string names, one of ``ALGORITHMS``:
 
 A candidate is open when the node still fits under its capacity. Selection
 only ever returns a closed candidate when every sibling is closed, which is
-reported as an overflow event. Ties break toward the lighter block, then the
-lower block id; there is no other tie rule. The descent decides which rule a
-tree level uses (see ``RunConfig.scored_levels``).
+reported as an overflow event. Candidates come in id order, and ties break
+toward the lighter block, then the lower index, which is the lower block id;
+there is no other tie rule. The descent decides which rule a tree level uses
+(see ``RunConfig.scored_levels``).
 
 This module is the rule's Python statement. ``multipass_reference`` scores
 with it, and the compiled descent behind ``partition_oms`` (``_descent.c``)
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-
-from .hierarchy import Block
 
 __all__ = [
     "ALGORITHMS",
@@ -66,19 +65,10 @@ def hashing_assign(node_id: int, s: int, seed: int, parent_id: int = 0) -> int:
     return _mix64(node_id ^ _mix64(seed ^ _mix64(parent_id))) % s
 
 
-def _min_weight_index(blocks: Sequence[Block]) -> int:
-    best = 0
-    bw = blocks[0].weight
-    bid = blocks[0].id
-    for j in range(1, len(blocks)):
-        b = blocks[j]
-        if b.weight < bw or (b.weight == bw and b.id < bid):
-            best, bw, bid = j, b.weight, b.id
-    return best
-
-
 def select_block(
-    blocks: Sequence[Block],
+    weights: Sequence[float],
+    capacities: Sequence[float],
+    alphas: Sequence[float],
     counts: Sequence[float],
     node_weight: int | float,
     algorithm: str,
@@ -88,17 +78,19 @@ def select_block(
 ) -> tuple[int, bool]:
     """Pick a candidate index; the flag reports an all-candidates-full overflow.
 
-    ``counts[j]`` is the edge weight from the node into candidate j's
-    subtree; hashing never reads it. Scored rules take the argmax over open
-    candidates, ties going to the lighter block, then the lower block id.
-    Hashing takes the hashed index when open, else probes forward
-    cyclically. When nothing is open the lightest candidate wins and the
-    overflow flag is set. An ``algorithm`` outside ``ALGORITHMS`` raises
-    ValueError.
+    The candidates are one sibling run, in id order: candidate j has weight
+    ``weights[j]``, capacity ``capacities[j]`` and penalty constant
+    ``alphas[j]``, and ``counts[j]`` is the edge weight from the node into
+    its subtree; hashing reads neither alphas nor counts. Scored rules take
+    the argmax over open candidates, ties going to the lighter candidate,
+    then the lower index. Hashing takes the hashed index when open, else
+    probes forward cyclically. When nothing is open the lightest candidate
+    (the lower index among equals) wins and the overflow flag is set. An
+    ``algorithm`` outside ``ALGORITHMS`` raises ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected {ALGORITHMS}")
-    s = len(blocks)
+    s = len(weights)
     if s == 0:
         raise ValueError("empty candidate set")
     cw = node_weight
@@ -107,31 +99,24 @@ def select_block(
         start = hashing_assign(node_id, s, seed, parent_id)
         for step in range(s):
             j = (start + step) % s
-            b = blocks[j]
-            if b.weight + cw <= b.capacity:
+            if weights[j] + cw <= capacities[j]:
                 return j, False
-        return _min_weight_index(blocks), True
+        return min(range(s), key=weights.__getitem__), True
 
     fennel = algorithm == "fennel"
     best_j = -1
     best_score = NEG_INF
     best_w: int | float = 0
-    best_id = -1
     for j in range(s):
-        b = blocks[j]
-        w = b.weight
-        if w + cw > b.capacity:
+        w = weights[j]
+        if w + cw > capacities[j]:
             continue
         if fennel:
-            score = counts[j] - (b.alpha * GAMMA) * math.sqrt(w)
+            score = counts[j] - (alphas[j] * GAMMA) * math.sqrt(w)
         else:
-            score = counts[j] * (1.0 - w / b.capacity)
-        if (
-            best_j < 0
-            or score > best_score
-            or (score == best_score and (w < best_w or (w == best_w and b.id < best_id)))
-        ):
-            best_j, best_score, best_w, best_id = j, score, w, b.id
+            score = counts[j] * (1.0 - w / capacities[j])
+        if best_j < 0 or score > best_score or (score == best_score and w < best_w):
+            best_j, best_score, best_w = j, score, w
     if best_j < 0:
-        return _min_weight_index(blocks), True
+        return min(range(s), key=weights.__getitem__), True
     return best_j, False

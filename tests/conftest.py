@@ -37,6 +37,22 @@ def complete_graph(n: int) -> InMemoryGraph:
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def children(tree, b: int) -> range:
+    """Ids of block ``b``'s children in a multi-section tree."""
+    first = int(tree.first_kid[b])
+    return range(first, first + int(tree.kids[b]))
+
+
+def block_depths(tree) -> list[int]:
+    """Depth of every block of ``tree``, by id; the root is at depth 0."""
+    depth = [0] * tree.kids.shape[0]
+    # a child's id is always above its parent's
+    for b in range(len(depth)):
+        for c in children(tree, b):
+            depth[c] = depth[b] + 1
+    return depth
+
+
 @st.composite
 def metis_graphs(draw, max_n=30, min_n=1):
     """Random simple graph in any METIS format, parsed from its text.

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_stream import InMemoryGraph
-from .hierarchy import (
+from streammap.graph_stream import InMemoryGraph
+from streammap.hierarchy import (
     DistanceSpec,
     HierarchySpec,
     MultiSectionTree,
     compute_lmax,
     pe_distance,
 )
-from .partitioner import RunConfig, multipass_reference, partition_oms
+from streammap.partitioner import RunConfig, multipass_reference, partition_oms
 
 __all__ = ["TinyInstance", "brute_force_best", "check_equivalence"]
 

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from conftest import complete_graph, four_cycle, graph_from_edges, path_graph
+from conftest import children, complete_graph, four_cycle, graph_from_edges, path_graph
+from oracle import TinyInstance, brute_force_best, check_equivalence
 from streammap.graph_stream import InMemoryGraph, grid2d, random_geometric, ring
 from streammap.hierarchy import (
     build_tree_synth,
@@ -19,7 +20,6 @@ from streammap.hierarchy import (
     parse_hierarchy,
 )
 from streammap.metrics import evaluate, geometric_mean, improvement
-from streammap.oracle import TinyInstance, brute_force_best, check_equivalence
 from streammap.partitioner import (
     RunConfig,
     multipass_reference,
@@ -271,7 +271,7 @@ def test_criterion_07_mapping_quality_direction(mapping_corpus):
 def test_criterion_08_heterogeneous_capacities():
     lmax = 7
     tree = build_tree_synth(5, 2, lmax)
-    caps = [tree.blocks[c].capacity for c in tree.root.children]
+    caps = [int(tree.capacity[c]) for c in children(tree, 0)]
     assert sorted(caps) == [2 * lmax, 3 * lmax]
     _verdict(8, "k=5 bisection splits capacity 3L/2L", True,
              f"top-level capacities {caps} with lmax={lmax}")

@@ -8,6 +8,9 @@ import pytest
 from streammap import graph_stream
 from streammap.cli import main
 from streammap.graph_stream import load_graph
+from streammap.hierarchy import parse_distances, parse_hierarchy
+from streammap.metrics import evaluate
+from streammap.partitioner import RunConfig, partition_flat, partition_oms, prepare_tree
 
 
 @pytest.fixture
@@ -282,6 +285,33 @@ class TestBench:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 2
         assert {r["algorithm"] for r in rows} == {"hashing"}
+
+    def test_rows_carry_the_quality_of_their_run(self, graph_file, tmp_path):
+        # each pass charges its own quality, with the bench's hierarchy and
+        # distances whatever tree it descends; a row reports that charge
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(graph_file), "--algorithms", "fennel,nh-oms,oms",
+                     "--hierarchy", "4:4:2", "--distances", "1:10:100", "--reps", "1",
+                     "--seed", "3", "--out-csv", str(out_csv)]) == 0
+        with open(out_csv) as handle:
+            rows = {r["algorithm"]: r for r in csv.DictReader(handle)}
+        graph = load_graph(graph_file)
+        spec, dist = parse_hierarchy("4:4:2"), parse_distances("1:10:100")
+        config = RunConfig(seed=3)
+        runs = {
+            "fennel": partition_flat(graph, spec.k, config),
+            "nh-oms": partition_oms(graph, prepare_tree(graph, k=spec.k, base=4)[0], config),
+            "oms": partition_oms(graph, prepare_tree(graph, hierarchy=spec)[0], config),
+        }
+        for alg, result in runs.items():
+            quality = evaluate(graph, result.assignment, hierarchy=spec, distances=dist)
+            assert rows[alg]["cut"] == str(quality.edge_cut)
+            assert float(rows[alg]["J"]) == quality.mapping_cost
+
+    def test_distances_need_a_hierarchy(self, graph_file, capsys):
+        assert main(["bench", "--input", str(graph_file), "--algorithms", "fennel,nh-oms",
+                     "--k", "4", "--distances", "1:10", "--reps", "1"]) == 3
+        assert "distances need a hierarchy" in capsys.readouterr().err
 
     def test_needs_k_or_hierarchy(self, graph_file):
         assert main(["bench", "--input", str(graph_file),

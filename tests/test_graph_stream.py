@@ -210,6 +210,26 @@ def test_metis_round_trip_keeps_weight_types(tmp_path, text):
         type(w) for r in graph.records for _, w in r.neighbors]
 
 
+def test_sanitized_graph_writes_the_m_of_its_entries(tmp_path):
+    # the file's m of 5 counted entries that sanitize dropped; the header
+    # keeps it, since it sets fennel's alpha, but the written file must load
+    graph = load_graph(io.StringIO("2 5\n2 2\n1\n"), sanitize=True)
+    assert graph.header.m == 5
+    path = tmp_path / "round.graph"
+    write_metis(graph, path)
+    assert path.read_text().splitlines()[0] == "2 1"
+    assert load_graph(path).records == graph.records
+
+
+def test_odd_entry_count_cannot_be_written(tmp_path):
+    # one entry, for an edge only node 1 lists: no m makes that file valid
+    graph = load_graph(io.StringIO("2 1\n2\n\n"), sanitize=True)
+    path = tmp_path / "odd.graph"
+    with pytest.raises(ValueError, match="cannot write 1 adjacency entries"):
+        write_metis(graph, path)
+    assert not path.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph=metis_graphs(max_n=25))
 def test_metis_round_trip_every_format(graph):

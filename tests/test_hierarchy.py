@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import block_depths, children
 from streammap.hierarchy import (
     DistanceSpec,
     HierarchySpec,
@@ -97,36 +100,29 @@ class TestCapacity:
 class TestExplicitTree:
     def test_two_by_two_shape(self):
         tree = build_tree_explicit(parse_hierarchy("2:2"), 10)
-        root = tree.root
-        assert [tree.blocks[c].capacity for c in root.children] == [20, 20]
-        for c in root.children:
-            kid = tree.blocks[c]
-            assert [tree.blocks[g].capacity for g in kid.children] == [10, 10]
+        assert [tree.capacity[c] for c in children(tree, 0)] == [20, 20]
+        for c in children(tree, 0):
+            assert [tree.capacity[g] for g in children(tree, c)] == [10, 10]
         assert tree.num_weight_cells == 6 <= 2 * tree.k
 
     def test_4_16_2_layer_sizes(self):
         tree = build_tree_explicit(parse_hierarchy("4:16:2"), 1)
-        by_depth: dict[int, int] = {}
-        for b in tree.blocks[1:]:
-            by_depth[b.depth] = by_depth.get(b.depth, 0) + 1
-        assert by_depth == {1: 2, 2: 32, 3: 128}
-        assert len(tree.leaves()) == 128
+        assert Counter(block_depths(tree)[1:]) == {1: 2, 2: 32, 3: 128}
+        assert int((tree.kids == 0).sum()) == 128
         assert tree.num_weight_cells == 162
 
     def test_single_level_two_leaves(self):
         tree = build_tree_explicit(parse_hierarchy("2"), 5)
-        leaves = tree.leaves()
-        assert len(leaves) == 2
-        assert all(b.capacity == 5 for b in leaves)
+        leaves = tree.kids == 0
+        assert int(leaves.sum()) == 2
+        assert (tree.capacity[leaves] == 5).all()
 
     def test_child_count_matches_level(self):
         spec = parse_hierarchy("3:5:2")
         tree = build_tree_explicit(spec, 1)
-        for b in tree.blocks:
-            if b.is_leaf:
-                continue
-            expected = spec.levels[spec.ell - 1 - b.depth]
-            assert len(b.children) == expected
+        for b, depth in enumerate(block_depths(tree)):
+            if tree.kids[b]:
+                assert tree.kids[b] == spec.levels[spec.ell - 1 - depth]
 
     @settings(max_examples=50, deadline=None)
     @given(levels=specs)
@@ -145,66 +141,63 @@ class TestExplicitTree:
     @given(levels=specs, lmax=st.integers(1, 50))
     def test_children_capacities_sum_to_parent(self, levels, lmax):
         tree = build_tree_explicit(HierarchySpec(levels), lmax)
-        for b in tree.blocks:
-            if not b.is_leaf:
-                assert sum(tree.blocks[c].capacity for c in b.children) == b.capacity
+        for b in np.flatnonzero(tree.kids):
+            assert sum(tree.capacity[c] for c in children(tree, b)) == tree.capacity[b]
 
     @settings(max_examples=50, deadline=None)
     @given(levels=specs)
     def test_children_contiguous_in_arena(self, levels):
+        # the sibling runs first_kid[b] .. first_kid[b] + kids[b] - 1 cover
+        # every non-root id exactly once
         tree = build_tree_explicit(HierarchySpec(levels), 1)
-        for b in tree.blocks:
-            if b.children:
-                first = b.children[0]
-                assert b.children == list(range(first, first + len(b.children)))
+        nb = tree.kids.shape[0]
+        assert sorted(c for b in range(nb) for c in children(tree, b)) == list(range(1, nb))
 
 
 class TestSynthTree:
     def test_k5_bisection_splits_three_two(self):
         tree = build_tree_synth(5, 2, 7)
-        caps = [tree.blocks[c].capacity for c in tree.root.children]
+        caps = [tree.capacity[c] for c in children(tree, 0)]
         assert caps == [21, 14]  # covers 3 then 2 final blocks
         assert sorted(caps) == [2 * 7, 3 * 7]
 
     def test_k4_perfect_binary(self):
         tree = build_tree_synth(4, 2, 3)
+        leaves = tree.kids == 0
         assert tree.depth == 2
-        assert all(b.capacity == 3 for b in tree.leaves())
-        assert len(tree.leaves()) == 4
+        assert (tree.capacity[leaves] == 3).all()
+        assert int(leaves.sum()) == 4
 
     def test_k6_base4_split(self):
         tree = build_tree_synth(6, 4, 1)
-        sizes = [tree.blocks[c].covered for c in tree.root.children]
-        assert sizes == [2, 2, 1, 1]
-        for c in tree.root.children:
-            kid = tree.blocks[c]
-            if kid.covered == 2:
-                assert len(kid.children) == 2
+        covered = tree.hi - tree.lo + 1
+        assert [covered[c] for c in children(tree, 0)] == [2, 2, 1, 1]
+        for c in children(tree, 0):
+            if covered[c] == 2:
+                assert tree.kids[c] == 2
 
     def test_k1_singleton(self):
         tree = build_tree_synth(1, 4, 9)
-        assert tree.root.is_leaf
+        assert tree.kids[0] == 0
         assert tree.num_weight_cells == 0
 
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(1, 200), base=st.integers(2, 6))
     def test_leaves_partition_range_and_depth_bound(self, k, base):
         tree = build_tree_synth(k, base, 1)
-        leaves = sorted(tree.leaves(), key=lambda b: b.cover_lo)
-        assert [(b.cover_lo, b.cover_hi) for b in leaves] == [(i, i) for i in range(1, k + 1)]
+        leaves = tree.kids == 0
+        assert sorted(zip(tree.lo[leaves].tolist(), tree.hi[leaves].tolist())) == \
+            [(i, i) for i in range(1, k + 1)]
         if k > 1:
             assert tree.depth <= math.ceil(math.log(k, base)) + 1
-        for b in tree.blocks:
-            if not b.is_leaf:
-                assert 2 <= len(b.children) <= base
+        assert ((2 <= tree.kids[~leaves]) & (tree.kids[~leaves] <= base)).all()
         assert tree.num_weight_cells <= 2 * k
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 128), base=st.integers(2, 5), lmax=st.integers(1, 9))
     def test_capacity_is_covered_times_lmax(self, k, base, lmax):
         tree = build_tree_synth(k, base, lmax)
-        for b in tree.blocks:
-            assert b.capacity == b.covered * lmax
+        assert (tree.capacity == (tree.hi - tree.lo + 1) * lmax).all()
 
 
 class TestAlpha:
@@ -217,15 +210,15 @@ class TestAlpha:
         tree = build_tree_explicit(spec, 1)
         tree.set_alphas(1000, 10000)
         a = global_alpha(1000, 10000, spec.k)
-        above_leaves = [b for b in tree.blocks if b.depth == spec.ell - 1]
-        assert above_leaves and all(b.covered == 4 for b in above_leaves)
-        assert all(b.alpha == a / 2 for b in above_leaves)
+        above_leaves = [b for b, d in enumerate(block_depths(tree)) if d == spec.ell - 1]
+        assert above_leaves and all(tree.hi[b] - tree.lo[b] + 1 == 4 for b in above_leaves)
+        assert all(tree.alpha[b] == a / 2 for b in above_leaves)
 
     def test_leaf_alpha_is_global(self):
         for tree in (build_tree_explicit(parse_hierarchy("2:2:2"), 1),
                      build_tree_synth(8, 3, 1)):
             tree.set_alphas(50, 200)
-            assert all(b.alpha == global_alpha(50, 200, 8) for b in tree.leaves())
+            assert (tree.alpha[tree.kids == 0] == global_alpha(50, 200, 8)).all()
 
     def test_zero_edges_degenerate(self):
         assert global_alpha(10, 0, 4) == 0.0
@@ -237,13 +230,15 @@ class TestAlpha:
         synth.set_alphas(n, m)
         explicit = build_tree_explicit(parse_hierarchy("4:4:4"), 1)
         explicit.set_alphas(n, m)
-        by_range_synth = {(b.cover_lo, b.cover_hi): b.alpha for b in synth.blocks}
-        by_range_expl = {(b.cover_lo, b.cover_hi): b.alpha for b in explicit.blocks}
-        assert by_range_synth == by_range_expl
+
+        def by_range(tree):
+            return dict(zip(zip(tree.lo.tolist(), tree.hi.tolist()), tree.alpha.tolist()))
+
+        assert by_range(synth) == by_range(explicit)
         a = global_alpha(n, m, k)
-        for b in explicit.blocks[1:]:
-            prod_below = 4 ** b.depth  # covered = k / 4^depth
-            assert b.alpha == a / math.sqrt(k / prod_below)
+        for b, depth in enumerate(block_depths(explicit)):
+            prod_below = 4 ** depth  # covered = k / 4^depth
+            assert explicit.alpha[b] == a / math.sqrt(k / prod_below)
 
 
 class TestDistance:
@@ -288,13 +283,12 @@ class TestDistance:
 
         def path_blocks(pe: int) -> list[int]:
             ids = []
-            b = tree.root
-            while not b.is_leaf:
-                for c in b.children:
-                    kb = tree.blocks[c]
-                    if kb.cover_lo <= pe <= kb.cover_hi:
-                        ids.append(kb.id)
-                        b = kb
+            b = 0
+            while tree.kids[b]:
+                for c in children(tree, b):
+                    if tree.lo[c] <= pe <= tree.hi[c]:
+                        ids.append(c)
+                        b = c
                         break
             return ids
 

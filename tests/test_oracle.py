@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import complete_graph, four_cycle, graph_from_edges, path_graph
+from oracle import TinyInstance, brute_force_best, check_equivalence
 from streammap.graph_stream import random_geometric, ring
 from streammap.hierarchy import parse_distances, parse_hierarchy
 from streammap.metrics import evaluate
-from streammap.oracle import TinyInstance, brute_force_best, check_equivalence
 from streammap.partitioner import RunConfig, partition_flat, partition_oms, prepare_tree
 from streammap.scoring import hashing_assign
 

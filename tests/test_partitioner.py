@@ -166,8 +166,7 @@ class TestOms:
         g = grid2d(12, 12)
         tree, _ = prepare_tree(g, hierarchy=parse_hierarchy("2:2:2"), eps=0.03)
         res = partition_oms(g, tree, RunConfig())
-        for b in tree.blocks[1:]:
-            assert b.weight <= b.capacity
+        assert (tree.weight[1:] <= tree.capacity[1:]).all()
         assert res.counters.overflow_events == 0
 
 

@@ -6,22 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streammap.hierarchy import Block
 from streammap.scoring import GAMMA, hashing_assign, select_block
-
-
-def make_blocks(weights, capacities, alphas=None):
-    alphas = alphas or [0.0] * len(weights)
-    return [
-        Block(id=i + 1, parent=0, depth=1, cover_lo=i + 1, cover_hi=i + 1,
-              capacity=c, weight=w, alpha=a)
-        for i, (w, c, a) in enumerate(zip(weights, capacities, alphas))
-    ]
 
 
 def view(counts, weights, capacities, alphas=None, node_weight=1):
     """Positional arguments of ``select_block`` before the algorithm."""
-    return make_blocks(weights, capacities, alphas), counts, node_weight
+    return weights, capacities, alphas or [0.0] * len(weights), counts, node_weight
 
 
 def winner(v, alg="fennel"):
@@ -32,7 +22,7 @@ def winner(v, alg="fennel"):
 
 def assert_tie(alg, a, b):
     """Two (count, weight, capacity, alpha) candidates of equal weight score
-    exactly the same: the tie goes to the lower block id, so index 0 wins
+    exactly the same: the tie goes to the lower index, so index 0 wins
     whichever of them comes first."""
     assert a[1] == b[1]
     for first, second in ((a, b), (b, a)):
@@ -189,23 +179,22 @@ class TestSelectBlock:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            select_block([], [], 1, "fennel")
+            select_block([], [], [], [], 1, "fennel")
 
     def test_unknown_algorithm_rejected(self):
         # no rule runs for a name outside ALGORITHMS, not even ldg's
-        blocks = make_blocks([0, 0], [5, 5])
         with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
-            select_block(blocks, [1.0, 0.0], 1, "nope")
+            select_block(*view([1.0, 0.0], [0, 0], [5, 5]), "nope")
 
     def test_hashing_respects_capacity_by_probing(self):
-        blocks = make_blocks([5, 0, 5, 5], [5, 5, 5, 5])
-        j, overflow = select_block(blocks, [0.0] * 4, 1, "hashing", seed=0, node_id=3)
-        assert blocks[j].weight + 1 <= blocks[j].capacity
+        weights, caps = [5, 0, 5, 5], [5, 5, 5, 5]
+        j, overflow = select_block(*view([0.0] * 4, weights, caps), "hashing", seed=0, node_id=3)
+        assert weights[j] + 1 <= caps[j]
         assert not overflow
 
     def test_hashing_all_full_overflows_to_lightest(self):
-        blocks = make_blocks([6, 5, 7], [5, 5, 5])
-        assert select_block(blocks, [0.0] * 3, 1, "hashing", node_id=5) == (1, True)
+        v = view([0.0] * 3, [6, 5, 7], [5, 5, 5])
+        assert select_block(*v, "hashing", node_id=5) == (1, True)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -213,16 +202,24 @@ class TestSelectBlock:
         alg=st.sampled_from(["fennel", "ldg"]),
         s=st.integers(1, 6),
     )
-    def test_permuting_candidates_never_changes_choice(self, data, alg, s):
+    def test_choice_is_min_of_score_weight_index(self, data, alg, s):
+        # the choice is the minimum of (-score, weight, index) over the open
+        # candidates; with none open, the minimum of (weight, index)
         counts = data.draw(
             st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.5]), min_size=s, max_size=s)
         )
         weights = data.draw(st.lists(st.integers(0, 6), min_size=s, max_size=s))
         caps = data.draw(st.lists(st.integers(4, 9), min_size=s, max_size=s))
-        perm = data.draw(st.permutations(range(s)))
-        blocks, _, _ = view(counts, weights, caps, alphas=[0.7] * s)
-        shuffled = [blocks[p] for p in perm]
-        j1, o1 = select_block(blocks, counts, 1, alg)
-        j2, o2 = select_block(shuffled, [counts[p] for p in perm], 1, alg)
-        assert blocks[j1].id == shuffled[j2].id
-        assert o1 == o2
+        alpha = 0.7
+
+        def score(j):
+            if alg == "fennel":
+                return counts[j] - (alpha * GAMMA) * math.sqrt(weights[j])
+            return counts[j] * (1.0 - weights[j] / caps[j])
+
+        choice = select_block(*view(counts, weights, caps, alphas=[alpha] * s), alg)
+        open_ = [j for j in range(s) if weights[j] + 1 <= caps[j]]
+        if open_:
+            assert choice == (min(open_, key=lambda j: (-score(j), weights[j], j)), False)
+        else:
+            assert choice == (min(range(s), key=lambda j: (weights[j], j)), True)
