@@ -9,6 +9,9 @@
  * -ffp-contract=off: a fused multiply-add or a reassociated sum would round
  * differently from Python's doubles.
  *
+ * A chunk's adjacency entries are two arrays: adj holds each entry's 0-based
+ * neighbour id, adj_w its weight.
+ *
  * The tree is a block arena: block b has kids[b] children at ids
  * first_kid[b] .. first_kid[b] + kids[b] - 1 and covers PEs lo[b] .. hi[b].
  * Siblings split their parent's range by near-equal sizes, larger first, so
@@ -21,11 +24,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-
-typedef struct {
-    int64_t node; /* 0-based neighbour id */
-    double weight;
-} Edge;
 
 /* counters[], in the field order of streammap.partitioner.RunCounters */
 enum { NODES, EDGES, SCORED, HASHED, OVERFLOWS };
@@ -99,16 +97,16 @@ static int64_t best_scored(int fennel, const double *counts, int64_t first, int6
 }
 
 /* Places nodes first_id .. first_id + count - 1. Node i's adjacency is
- * adj[indptr[i] .. indptr[i + 1] - 1]; assignment holds 0 for a node not yet
- * placed. The top scored_levels levels are scored, the rest hashed. Returns
- * 0, or -1 when scratch memory cannot be allocated. */
+ * entries indptr[i] .. indptr[i + 1] - 1 of adj and adj_w; assignment holds
+ * 0 for a node not yet placed. The top scored_levels levels are scored, the
+ * rest hashed. Returns 0, or -1 when scratch memory cannot be allocated. */
 int place_chunk(
     const int64_t *first_kid, const int64_t *kids, const int64_t *lo,
     const int64_t *hi, const double *capacity, const double *alpha,
     double *weight, double *term, int64_t max_kids, int64_t scored_levels,
     int fennel, uint64_t seed, int64_t first_id, int64_t count,
-    const int64_t *indptr, const Edge *adj, const double *node_w,
-    int32_t *assignment, int64_t *counters)
+    const int64_t *indptr, const int64_t *adj, const double *adj_w,
+    const double *node_w, int32_t *assignment, int64_t *counters)
 {
     int64_t max_deg = 0;
     for (int64_t i = 0; i < count; i++)
@@ -132,10 +130,10 @@ int place_chunk(
         int64_t m = 0;
         if (scored_levels > 0) {
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-                const int32_t pe = assignment[adj[e].node];
+                const int32_t pe = assignment[adj[e]];
                 if (pe != 0) {
                     pes[m] = pe;
-                    ws[m] = adj[e].weight;
+                    ws[m] = adj_w[e];
                     m++;
                 }
             }
@@ -203,10 +201,11 @@ enum { NODE_TOTAL, EDGE_TOTAL, CUT, COST, LEVEL_CUT };
  * PEs, and level ell takes every pair no lower level holds; with dist (NULL
  * when not given) its cost is weight * dist[level - 1]. */
 void charge_chunk(
-    int64_t first_id, int64_t count, const int64_t *indptr, const Edge *adj,
-    const double *node_w, const uint8_t *node_float, int all_node_float,
-    const uint8_t *edge_float, int all_edge_float, const int32_t *assignment,
-    int64_t ell, const int64_t *modules, const double *dist, double *sums, uint8_t *floats)
+    int64_t first_id, int64_t count, const int64_t *indptr, const int64_t *adj,
+    const double *adj_w, const double *node_w, const uint8_t *node_float,
+    int all_node_float, const uint8_t *edge_float, int all_edge_float,
+    const int32_t *assignment, int64_t ell, const int64_t *modules, const double *dist,
+    double *sums, uint8_t *floats)
 {
     double *block = sums + LEVEL_CUT + ell;
     uint8_t *block_float = floats + LEVEL_CUT + ell;
@@ -219,10 +218,10 @@ void charge_chunk(
         block[pv - 1] += node_w[i];
         block_float[pv - 1] |= nf;
         for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-            const int64_t u = adj[e].node;
+            const int64_t u = adj[e];
             if (u >= v)
                 continue;
-            const double w = adj[e].weight;
+            const double w = adj_w[e];
             const uint8_t ef = edge_float ? edge_float[e] : (uint8_t)all_edge_float;
             sums[EDGE_TOTAL] += w;
             floats[EDGE_TOTAL] |= ef;

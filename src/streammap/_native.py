@@ -1,8 +1,11 @@
 """streammap's compiled half: one C library, built with ``gcc`` on first use.
 
 The library holds the descent kernel and the quality charge (``_descent.c``,
-behind ``partitioner.partition_oms`` and ``metrics.QualitySums``) and the
-METIS body reader (``_reader.c``, behind ``graph_stream.open_chunks``). It
+behind ``partitioner.partition_oms`` and ``metrics.QualitySums``), the
+METIS body reader (``_reader.c``, behind ``graph_stream.open_chunks``) and
+the partition file writer (``format_labels`` in ``_reader.c``, behind the
+CLI's ``--output``). Every array argument is passed by address; the Python
+side holds its arrays as ``array.array`` buffers (see :func:`address`). It
 is compiled from those sources on the first call that needs it, never at
 import, and cached as ``CACHE/_native-<crc32 of the sources>.so``, so an
 edited source builds anew and an unchanged one is loaded as is. A successful build removes the
@@ -16,9 +19,10 @@ import functools
 import os
 import re
 import zlib
+from array import array
 from pathlib import Path
 
-__all__ = ["CC", "CACHE", "SOURCES", "library"]
+__all__ = ["CC", "CACHE", "SOURCES", "address", "library"]
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("_descent.c", "_reader.c"))
 CACHE = Path(__file__).with_name("__pycache__")
@@ -29,6 +33,11 @@ CC = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # _descent-*: the name before the reader joined the kernel in one library
 _LIBRARY_NAME = re.compile(r"_(native|descent)-[0-9a-f]{8}\.so")
+
+
+def address(buffer: array | None) -> int | None:
+    """The address of an ``array.array``'s first item; None (NULL) for None."""
+    return buffer.buffer_info()[0] if buffer is not None else None
 
 
 @functools.cache
@@ -43,17 +52,19 @@ def library():
     lib = ctypes.CDLL(str(lib_path))
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     lib.place_chunk.argtypes = (
-        [ptr] * 8 + [i64, i64, flag, ctypes.c_uint64, i64, i64] + [ptr] * 5
+        [ptr] * 8 + [i64, i64, flag, ctypes.c_uint64, i64, i64] + [ptr] * 6
     )
     lib.place_chunk.restype = flag
     lib.charge_chunk.argtypes = (
-        [i64, i64, ptr, ptr, ptr, ptr, flag, ptr, flag, ptr, i64] + [ptr] * 4
+        [i64, i64, ptr, ptr, ptr, ptr, ptr, flag, ptr, flag, ptr, i64] + [ptr] * 4
     )
     lib.charge_chunk.restype = None
     lib.read_chunk.argtypes = (
-        [ctypes.c_char_p, i64, flag, i64, flag, flag, flag, ptr, ptr, i64, i64] + [ptr] * 5
+        [ctypes.c_char_p, i64, flag, i64, flag, flag, flag, ptr, ptr, i64, i64] + [ptr] * 6
     )
     lib.read_chunk.restype = flag
+    lib.format_labels.argtypes = [ptr, i64, ptr]
+    lib.format_labels.restype = i64
     return lib
 
 

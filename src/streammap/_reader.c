@@ -1,4 +1,6 @@
-/* METIS body reader of streammap.graph_stream: plain lines into CSR chunks.
+/* The file formats in C: the METIS body reader of streammap.graph_stream,
+ * which turns plain lines into CSR chunks, and the partition file writer of
+ * streammap.cli.
  *
  * read_chunk parses body lines of a METIS adjacency file from a byte buffer
  * into the arrays of one CSR chunk. It accepts only a plain grammar: lines
@@ -20,11 +22,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-typedef struct {
-    int64_t node; /* 0-based neighbour id */
-    double weight;
-} Edge;
 
 /* state[], carried across calls by the caller */
 enum {
@@ -108,8 +105,8 @@ static const char *skip_seps(const char *p, const char *e)
  * seen[v] == node + 1 marks neighbour v as already listed by this record. */
 static int parse_record(const char *s, const char *e, int64_t n, int node_weights,
                         int edge_weights, int sanitize, int64_t *seen, int64_t *state,
-                        int64_t adj_cap, int64_t *indptr, Edge *adj, double *node_w,
-                        uint8_t *node_float, uint8_t *edge_float)
+                        int64_t adj_cap, int64_t *indptr, int64_t *adj, double *adj_w,
+                        double *node_w, uint8_t *node_float, uint8_t *edge_float)
 {
     const int64_t node = state[NODE], i = state[COUNT], first = state[EDGES];
     int64_t k = first;
@@ -146,16 +143,16 @@ static int parse_record(const char *s, const char *e, int64_t n, int node_weight
         }
         if (k == adj_cap) {
             for (int64_t x = first; x < k; x++)
-                seen[adj[x].node] = 0;
+                seen[adj[x]] = 0;
             return NO_ROOM;
         }
         seen[v] = node + 1;
-        adj[k].node = v;
+        adj[k] = v;
         if (edge_weights) {
-            if (weight_token(ws, we, &adj[k].weight, &edge_float[k]))
+            if (weight_token(ws, we, &adj_w[k], &edge_float[k]))
                 return HAND_OFF;
         } else {
-            adj[k].weight = 1.0;
+            adj_w[k] = 1.0;
             edge_float[k] = 0;
         }
         k++;
@@ -173,12 +170,13 @@ static int parse_record(const char *s, const char *e, int64_t n, int node_weight
  * is in the buffer or final says the source ends with the buffer. Returns
  * PAUSED then, HAND_OFF at a line the Python reader must take, and NO_ROOM
  * at a record whose entries do not fit in adj_cap; state[POS] is that line's
- * offset. Records are written from slot state[COUNT] on; indptr[0] must hold
- * the chunk's first offset. */
+ * offset. Records are written from slot state[COUNT] on: a record's
+ * neighbour ids (0-based) go to adj and their weights to adj_w, from
+ * indptr[state[COUNT]] on; indptr[0] must hold the chunk's first offset. */
 int read_chunk(const char *buf, int64_t len, int final, int64_t n, int node_weights,
                int edge_weights, int sanitize, int64_t *seen, int64_t *state,
-               int64_t max_count, int64_t adj_cap, int64_t *indptr, Edge *adj,
-               double *node_w, uint8_t *node_float, uint8_t *edge_float)
+               int64_t max_count, int64_t adj_cap, int64_t *indptr, int64_t *adj,
+               double *adj_w, double *node_w, uint8_t *node_float, uint8_t *edge_float)
 {
     while (state[COUNT] < max_count) {
         const int64_t pos = state[POS];
@@ -203,8 +201,8 @@ int read_chunk(const char *buf, int64_t len, int final, int64_t n, int node_weig
             if (state[NODE] >= n)
                 return HAND_OFF;
             const int r = parse_record(buf + pos, buf + end, n, node_weights, edge_weights,
-                                       sanitize, seen, state, adj_cap, indptr, adj, node_w,
-                                       node_float, edge_float);
+                                       sanitize, seen, state, adj_cap, indptr, adj, adj_w,
+                                       node_w, node_float, edge_float);
             if (r != PAUSED)
                 return r;
         }
@@ -212,4 +210,23 @@ int read_chunk(const char *buf, int64_t len, int final, int64_t n, int node_weig
         state[POS] = next;
     }
     return PAUSED;
+}
+
+/* Writes labels[0 .. n - 1], which must be positive, as the text of a
+ * partition file: one decimal label per line, each ended by "\n". out must
+ * hold 11 bytes per label, the most an int32 takes. Returns the bytes
+ * written. */
+int64_t format_labels(const int32_t *labels, int64_t n, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        char digits[10];
+        int d = 0;
+        for (uint32_t v = (uint32_t)labels[i]; d == 0 || v > 0; v /= 10)
+            digits[d++] = (char)('0' + v % 10);
+        while (d > 0)
+            *p++ = digits[--d];
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 import time
 from pathlib import Path
 
+from ._native import address, library
 from .graph_stream import (
     StreamFormatError,
     generate_graph,
@@ -148,31 +150,29 @@ def _load_input(args) -> tuple[object, float]:
 
 def _write_partition(path: str, result: PartitionResult) -> None:
     labels = result.assignment
-    with open(path, "w", encoding="ascii") as out:
-        # one join per block of lines: a write per line takes longer than the
-        # placement, and one string of all lines would grow peak memory
-        for lo in range(0, labels.shape[0], 8192):
-            out.write("\n".join(map(str, labels[lo:lo + 8192].tolist())) + "\n")
+    # formatted in C into one buffer, at most 11 bytes a label, and written at once
+    text = ctypes.create_string_buffer(11 * len(labels))
+    size = library().format_labels(address(labels), len(labels), text)
+    with open(path, "wb") as out:
+        out.write(memoryview(text)[:size])
 
 
 def _read_partition(path: str, n: int) -> list[int]:
-    """Labels of a partition file, which must hold exactly ``n`` integer lines."""
+    """Labels of a partition file, which must hold exactly ``n`` lines of
+    decimal digits; spaces and tabs around them and blank lines are skipped."""
     labels = []
     line_no = 0
-    # a non-ASCII byte decodes to a surrogate, which int() rejects below
+    # a non-ASCII byte decodes to a surrogate, so isdigit() means [0-9]+ here
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+            line = line.rstrip("\n").strip(" \t")
             if not line:
                 continue
             if len(labels) == n:
                 raise StreamFormatError(f"{path}: line {line_no}: more labels than n={n}")
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise StreamFormatError(
-                    f"{path}: line {line_no}: non-integer label {line!r}"
-                ) from None
+            if not line.isdigit():
+                raise StreamFormatError(f"{path}: line {line_no}: non-integer label {line!r}")
+            labels.append(int(line))
     if len(labels) < n:
         raise StreamFormatError(
             f"{path}: file ends at line {line_no} with {len(labels)} labels, expected n={n}"
@@ -183,7 +183,12 @@ def _read_partition(path: str, n: int) -> list[int]:
 def _emit(args, result: PartitionResult, parse_s: float,
           extra_run: dict | None = None) -> int:
     """Writes the partition and the report; the quality is the one the
-    placing pass charged, so the source is not read again."""
+    placing pass charged, so the source is not read again. ``write_s`` times
+    the partition file's write and the report's assembly; the report's own
+    write, which carries it, is on no clock."""
+    started = time.perf_counter()
+    if args.output:
+        _write_partition(args.output, result)
     quality = result.quality
     run = {
         "algorithm": result.algorithm,
@@ -196,6 +201,7 @@ def _emit(args, result: PartitionResult, parse_s: float,
         "overflow_events": result.counters.overflow_events,
         "timings": {
             "parse_s": parse_s,
+            "tree_s": result.tree_seconds,
             "assign_s": result.assign_seconds,
             "evaluate_s": result.evaluate_seconds,
         },
@@ -203,8 +209,7 @@ def _emit(args, result: PartitionResult, parse_s: float,
     if extra_run:
         run.update(extra_run)
     payload = {"quality": quality.to_dict(), "run": run}
-    if args.output:
-        _write_partition(args.output, result)
+    run["timings"]["write_s"] = time.perf_counter() - started
     if args.report:
         Path(args.report).write_text(report_json(payload) + "\n", encoding="ascii")
     print(
@@ -251,13 +256,17 @@ def _partition(source, config: RunConfig, k: int | None = None, base: int | None
     ``distances`` only add per-level cuts and the communication cost to the
     quality the pass charges.
     """
+    started = time.perf_counter()
     if explicit is not None:
         tree, _ = prepare_tree(source, hierarchy=explicit, eps=config.eps)
     elif base is not None:
         tree, _ = prepare_tree(source, k=k, base=base, eps=config.eps)
     else:
         return partition_flat(source, k, config, hierarchy, distances)
-    return partition_oms(source, tree, config, hierarchy, distances)
+    tree_seconds = time.perf_counter() - started
+    result = partition_oms(source, tree, config, hierarchy, distances)
+    result.tree_seconds = tree_seconds
+    return result
 
 
 def cmd_run(args) -> int:

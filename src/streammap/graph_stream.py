@@ -32,16 +32,18 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import reduce
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from . import _native
+from ._native import address
 
 __all__ = [
     "CHUNK_NODES",
@@ -68,8 +70,6 @@ __all__ = [
 CHUNK_NODES = 2048
 # Bytes per read when the C reader streams a file.
 READ_BLOCK = 1 << 18
-# One adjacency entry as the C library reads it (its Edge struct).
-_EDGE = np.dtype([("node", np.int64), ("weight", np.float64)])
 
 
 class StreamFormatError(ValueError):
@@ -288,91 +288,108 @@ def _open_lines(
 # ----------------------------------------------------------------------------
 
 
+def _zeros(typecode: str, count: int) -> array:
+    """An ``array.array`` of ``count`` zeros."""
+    return array(typecode, [0]) * count
+
+
 @dataclass(frozen=True)
 class CSR:
     """Nodes ``first .. first + count - 1`` in compressed sparse rows.
 
     Node ``first + i`` has weight ``node_w[i]`` and the adjacency entries
-    ``adj[indptr[i]:indptr[i + 1]]``: (0-based neighbour, weight) pairs in
-    the C library's ``Edge`` layout. Weights are doubles; whether each came
-    from an int or a float token is kept, because a reported sum is an int
-    exactly when every summand was an int token. ``node_float`` and
-    ``edge_float`` are False when every weight of their kind was an int
-    token, True when every one was a float token, and otherwise a bool array
-    indexed like ``node_w`` and like ``adj``.
+    ``indptr[i] .. indptr[i + 1] - 1``: entry e goes to the 0-based
+    neighbour ``adj[e]`` with weight ``adj_w[e]``. The fields are
+    ``array.array`` buffers that the C library reads by address: ``indptr``
+    and ``adj`` of int64 (typecode ``q``), ``adj_w`` and ``node_w`` of
+    doubles. Whether each weight came from an int or a float token is kept,
+    because a reported sum is an int exactly when every summand was an int
+    token. ``node_float`` and ``edge_float`` are False when every weight of
+    their kind was an int token, True when every one was a float token, and
+    otherwise an array of 0/1 bytes (typecode ``B``) indexed like ``node_w``
+    and like ``adj``.
     """
 
     first: int
-    indptr: np.ndarray
-    adj: np.ndarray
-    node_w: np.ndarray
-    node_float: bool | np.ndarray = False
-    edge_float: bool | np.ndarray = False
+    indptr: array
+    adj: array
+    adj_w: array
+    node_w: array
+    node_float: bool | array = False
+    edge_float: bool | array = False
 
     @property
     def count(self) -> int:
-        return self.indptr.shape[0] - 1
+        return len(self.indptr) - 1
 
     def entries(self) -> slice:
         """The range of ``adj`` that these nodes' rows cover."""
-        return slice(int(self.indptr[0]), int(self.indptr[-1]))
+        return slice(self.indptr[0], self.indptr[-1])
 
-    def node_floats(self) -> np.ndarray:
-        """Per node: whether its weight was a float token."""
+    def node_floats(self) -> array:
+        """Per node: 1 when its weight was a float token, else 0."""
         if isinstance(self.node_float, bool):
-            return np.full(self.count, self.node_float)
+            return array("B", [self.node_float]) * self.count
         return self.node_float
 
-    def edge_floats(self) -> np.ndarray:
-        """Per entry of ``adj[self.entries()]``: whether its weight was a float token."""
+    def edge_floats(self) -> array:
+        """Per entry of ``adj[self.entries()]``: 1 when its weight was a float token."""
         if isinstance(self.edge_float, bool):
-            return np.full(int(self.indptr[-1] - self.indptr[0]), self.edge_float)
+            return array("B", [self.edge_float]) * (self.indptr[-1] - self.indptr[0])
         return self.edge_float[self.entries()]
 
     def slices(self, size: int) -> Iterator[CSR]:
-        """Chunks of at most ``size`` nodes that share these arrays."""
+        """Chunks of at most ``size`` nodes that share the adjacency arrays;
+        each gets a copy of its part of the per-node arrays."""
         for lo in range(0, self.count, size):
             hi = min(lo + size, self.count)
             node_float = self.node_float
             if not isinstance(node_float, bool):
                 node_float = node_float[lo:hi]
-            yield CSR(self.first + lo, self.indptr[lo:hi + 1], self.adj, self.node_w[lo:hi],
-                      node_float, self.edge_float)
+            yield CSR(self.first + lo, self.indptr[lo:hi + 1], self.adj, self.adj_w,
+                      self.node_w[lo:hi], node_float, self.edge_float)
 
 
-def _flag(bits: np.ndarray) -> bool | np.ndarray:
+def _any(bits: bool | array) -> bool:
+    """Whether any weight is marked as a float token."""
+    return bits if isinstance(bits, bool) else 1 in bits.tobytes()
+
+
+def _flag(bits: array) -> bool | array:
     """The compact form of per-entry float bits: False, True or the bits."""
-    if not bits.any():
+    raw = bits.tobytes()  # a bytes search runs in C, unlike a scan of the array
+    if 1 not in raw:
         return False
-    return True if bits.all() else bits
+    return True if 0 not in raw else bits
 
 
 def _concat(chunks: list[CSR]) -> CSR:
     """One CSR of consecutive chunks, from node 0."""
     if len(chunks) == 1:
         return chunks[0]
-    adj = np.concatenate([c.adj[c.entries()] for c in chunks])
-    indptr = np.zeros(sum(c.count for c in chunks) + 1, np.int64)
-    np.cumsum(np.concatenate([np.diff(c.indptr) for c in chunks]), out=indptr[1:])
-    node_w = np.concatenate([c.node_w for c in chunks])
-    node_float = _flag(np.concatenate([c.node_floats() for c in chunks]))
-    edge_float = _flag(np.concatenate([c.edge_floats() for c in chunks]))
-    return CSR(0, indptr, adj, node_w, node_float, edge_float)
+    indptr, adj, adj_w = array("q", [0]), array("q"), array("d")
+    node_w, node_float, edge_float = array("d"), array("B"), array("B")
+    for c in chunks:
+        span = c.entries()
+        shift = len(adj) - span.start
+        indptr.extend(x + shift for x in c.indptr[1:])
+        adj.extend(c.adj[span])
+        adj_w.extend(c.adj_w[span])
+        node_w.extend(c.node_w)
+        node_float.extend(c.node_floats())
+        edge_float.extend(c.edge_floats())
+    return CSR(0, indptr, adj, adj_w, node_w, _flag(node_float), _flag(edge_float))
 
 
 def _csr_of(records: list[NodeRecord], first: int) -> CSR:
     """The CSR of consecutive records, node ``first`` first."""
-    count = len(records)
-    indptr = np.zeros(count + 1, np.int64)
-    np.cumsum(np.fromiter((len(r.neighbors) for r in records), np.int64, count), out=indptr[1:])
-    edges = int(indptr[-1])
-    adj = np.fromiter(chain.from_iterable(r.neighbors for r in records), _EDGE, edges)
-    node_w = np.fromiter((r.weight for r in records), np.float64, count)
-    node_float = np.fromiter((isinstance(r.weight, float) for r in records), bool, count)
-    edge_float = np.fromiter(
-        (isinstance(w, float) for r in records for _, w in r.neighbors), bool, edges
-    )
-    return CSR(first, indptr, adj, node_w, _flag(node_float), _flag(edge_float))
+    indptr = array("q", accumulate((len(r.neighbors) for r in records), initial=0))
+    adj = array("q", [v for r in records for v, _ in r.neighbors])
+    adj_w = array("d", [w for r in records for _, w in r.neighbors])
+    node_w = array("d", [r.weight for r in records])
+    node_float = array("B", [isinstance(r.weight, float) for r in records])
+    edge_float = array("B", [isinstance(w, float) for r in records for _, w in r.neighbors])
+    return CSR(first, indptr, adj, adj_w, node_w, _flag(node_float), _flag(edge_float))
 
 
 def _record_chunks(records: Iterator[NodeRecord], first: int,
@@ -382,7 +399,7 @@ def _record_chunks(records: Iterator[NodeRecord], first: int,
         first += len(batch)
 
 
-def _typed(values: np.ndarray, floats: bool | np.ndarray) -> list[int | float]:
+def _typed(values: array, floats: bool | array) -> list[int | float]:
     """``values`` as Python numbers: an int for each int token, a float for each float token."""
     out = values.tolist()
     if isinstance(floats, bool):
@@ -392,8 +409,8 @@ def _typed(values: np.ndarray, floats: bool | np.ndarray) -> list[int | float]:
 
 def _rows(csr: CSR) -> Iterator[NodeRecord]:
     node_w = _typed(csr.node_w, csr.node_float)
-    nodes = csr.adj["node"].tolist()
-    weights = _typed(csr.adj["weight"], csr.edge_float)
+    nodes = csr.adj.tolist()
+    weights = _typed(csr.adj_w, csr.edge_float)
     bounds = csr.indptr.tolist()
     for i in range(csr.count):
         lo, hi = bounds[i], bounds[i + 1]
@@ -412,12 +429,12 @@ class WeightSum:
         self._sum = 0.0
         self._floats = False
 
-    def add(self, values: np.ndarray, floats: bool | np.ndarray) -> None:
+    def add(self, values: array, floats: bool | array) -> None:
         """Adds ``values`` in order; ``floats`` marks those from float tokens."""
-        if values.size:
-            # cumsum adds one element at a time; sum() would add pairwise
-            self._sum = float(np.cumsum(np.append(self._sum, values))[-1])
-            self._floats = self._floats or bool(np.any(floats))
+        if values:
+            # one addition at a time, left to right; sum() may compensate
+            self._sum = reduce(operator.add, values, self._sum)
+            self._floats = self._floats or _any(floats)
 
     @property
     def value(self) -> int | float:
@@ -480,8 +497,7 @@ class InMemoryGraph:
         if len(self._records) < n:
             raise StreamFormatError(f"fewer records than n={n}: got {len(self._records)}")
         csr = _csr_of(self._records, 0)
-        nbrs = csr.adj["node"]
-        if nbrs.size and not (0 <= nbrs.min() and nbrs.max() < n):
+        if csr.adj and not (0 <= min(csr.adj) and max(csr.adj) < n):
             raise StreamFormatError(f"a neighbour lies outside [0, {n})")
         return csr
 
@@ -505,7 +521,7 @@ class InMemoryGraph:
         """
         h = self.header
         entries = (sum(len(rec.neighbors) for rec in self._records)
-                   if self._records is not None else self.csr.adj.shape[0])
+                   if self._records is not None else len(self.csr.adj))
         if entries % 2:
             raise ValueError(f"cannot write {entries} adjacency entries as METIS: "
                              "an undirected graph lists each edge twice")
@@ -623,51 +639,51 @@ def _native_chunks(path: str | Path, sanitize: bool,
         max_count = chunk_nodes or n
         # whole files: room for 2m entries, or as many as the bytes can hold
         cap = 16 * max_count if chunk_nodes else min(2 * header.m, size // 2) + 1
-        seen = np.zeros(n, np.int64)
-        state = np.array([pos, line_no, 0, 0, 0, 0], np.int64)
+        seen = _zeros("q", n)
+        state = array("q", [pos, line_no, 0, 0, 0, 0])
         offset = 0  # file offset of buf[0]
         while True:
-            indptr = np.zeros(max_count + 1, np.int64)
-            adj = np.empty(cap, _EDGE)
-            node_w = np.empty(max_count)
-            node_float = np.empty(max_count, np.uint8)
-            edge_float = np.empty(cap, np.uint8)
-            state[_COUNT:] = 0
+            indptr = _zeros("q", max_count + 1)
+            node_w, node_float = _zeros("d", max_count), _zeros("B", max_count)
+            adj, adj_w, edge_float = _zeros("q", cap), _zeros("d", cap), _zeros("B", cap)
+            state[_COUNT] = state[_EDGES] = 0
             while True:
                 status = read_chunk(
                     buf, len(buf), final, n, header.has_node_weights, header.has_edge_weights,
-                    sanitize, seen.ctypes.data, state.ctypes.data, max_count, cap,
-                    indptr.ctypes.data, adj.ctypes.data, node_w.ctypes.data,
-                    node_float.ctypes.data, edge_float.ctypes.data)
+                    sanitize, address(seen), address(state), max_count, cap,
+                    *map(address, (indptr, adj, adj_w, node_w, node_float, edge_float)))
                 if status == _NO_ROOM:
+                    for a in (adj, adj_w, edge_float):  # grown in place
+                        a.frombytes(bytes(a.itemsize * cap))
                     cap *= 2
-                    adj = np.resize(adj, cap)
-                    edge_float = np.resize(edge_float, cap)
                     continue
                 ended = status == _HAND_OFF or (final and state[_POS] == len(buf))
                 if ended or state[_COUNT] == max_count:
                     break
                 more = handle.read(READ_BLOCK)
-                offset += int(state[_POS])
+                offset += state[_POS]
                 buf = buf[state[_POS]:] + more
                 state[_POS] = 0
                 final = len(more) < READ_BLOCK
-            count, edges = int(state[_COUNT]), int(state[_EDGES])
+            count, edges = state[_COUNT], state[_EDGES]
             if count:
-                yield CSR(int(state[_NODE]) - count, indptr[:count + 1], adj[:edges],
-                          node_w[:count], _flag(node_float[:count].view(bool)),
-                          _flag(edge_float[:edges].view(bool)))
+                # truncated in place: a sliced copy would double a whole file's arrays
+                for a, keep in ((indptr, count + 1), (node_w, count), (node_float, count),
+                                (adj, edges), (adj_w, edges), (edge_float, edges)):
+                    del a[keep:]
+                yield CSR(state[_NODE] - count, indptr, adj, adj_w, node_w, _flag(node_float),
+                          _flag(edge_float))
             if ended:
                 break
         if status == _HAND_OFF:
-            handle.seek(offset + int(state[_POS]))
+            handle.seek(offset + state[_POS])
             text = io.TextIOWrapper(handle, encoding="ascii", errors="surrogateescape")
-            node_id = int(state[_NODE])
-            records = _file_records(text, header, sanitize, None, int(state[_LINE]), node_id,
-                                    int(state[_DEGREES]))
+            node_id = state[_NODE]
+            records = _file_records(text, header, sanitize, None, state[_LINE], node_id,
+                                    state[_DEGREES])
             yield from _record_chunks(records, node_id, chunk_nodes)
         else:
-            _check_end(header, int(state[_NODE]), int(state[_DEGREES]), sanitize)
+            _check_end(header, state[_NODE], state[_DEGREES], sanitize)
 
 
 def load_graph(source: str | Path | io.TextIOBase | InMemoryGraph, sanitize: bool = False) -> InMemoryGraph:
@@ -723,13 +739,10 @@ def write_metis(graph: InMemoryGraph, path: str | Path) -> None:
 
 def _graph_from_adjacency(adj: list[list[int]]) -> InMemoryGraph:
     n = len(adj)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.fromiter(map(len, adj), np.int64, n), out=indptr[1:])
-    edges = np.empty(int(indptr[-1]), _EDGE)
-    edges["node"] = np.fromiter(chain.from_iterable(adj), np.int64, edges.shape[0])
-    edges["weight"] = 1.0
-    csr = CSR(0, indptr, edges, np.ones(n))
-    return InMemoryGraph._of(GraphHeader(n=n, m=edges.shape[0] // 2), csr)
+    indptr = array("q", accumulate(map(len, adj), initial=0))
+    nbrs = array("q", chain.from_iterable(adj))
+    csr = CSR(0, indptr, nbrs, array("d", [1.0]) * len(nbrs), array("d", [1.0]) * n)
+    return InMemoryGraph._of(GraphHeader(n=n, m=len(nbrs) // 2), csr)
 
 
 def grid2d(rows: int, cols: int) -> InMemoryGraph:
@@ -772,15 +785,18 @@ def random_geometric(n: int, radius: float | None = None, seed: int = 0) -> InMe
         radius = 0.55 * math.sqrt(math.log(n) / n) if n > 1 else 0.0
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    import numpy as np  # its generator fixes the points, and so every rgg file's bytes
+
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     adj: list[list[int]] = [[] for _ in range(n)]
     if radius > 0 and n > 1:
         cell = radius
         buckets: dict[tuple[int, int], list[int]] = {}
-        cells = np.floor(pts / cell).astype(np.int64)
-        for i in range(n):
-            buckets.setdefault((int(cells[i, 0]), int(cells[i, 1])), []).append(i)
+        for i, (cx, cy) in enumerate(np.floor(pts / cell).astype(np.int64).tolist()):
+            buckets.setdefault((cx, cy), []).append(i)
+        # Python floats: the same doubles as numpy's, without a scalar per access
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
         r2 = radius * radius
         for (cx, cy), members in buckets.items():
             for dx in (-1, 0, 1):
@@ -789,12 +805,12 @@ def random_geometric(n: int, radius: float | None = None, seed: int = 0) -> InMe
                     if other is None:
                         continue
                     for i in members:
-                        xi, yi = pts[i, 0], pts[i, 1]
+                        xi, yi = xs[i], ys[i]
                         for j in other:
                             if j <= i:
                                 continue
-                            ddx = xi - pts[j, 0]
-                            ddy = yi - pts[j, 1]
+                            ddx = xi - xs[j]
+                            ddy = yi - ys[j]
                             if ddx * ddx + ddy * ddy <= r2:
                                 adj[i].append(j)
                                 adj[j].append(i)

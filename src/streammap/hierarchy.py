@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "K_LIMIT",
@@ -127,7 +126,7 @@ def compute_lmax(total_node_weight: int | float, k: int, eps: float = 0.0) -> in
 
 
 class MultiSectionTree:
-    """A multi-section tree as one array per block field; block 0 is the root.
+    """A multi-section tree as one ``array.array`` per block field; block 0 is the root.
 
     Block b covers PEs ``lo[b]`` .. ``hi[b]`` and has ``kids[b]`` children,
     which hold the consecutive ids ``first_kid[b]`` .. ``first_kid[b] +
@@ -136,37 +135,42 @@ class MultiSectionTree:
     constant of the block as a candidate, stamped per graph by
     :meth:`set_alphas`. ``weight`` is filled by the descent. The root is
     never a candidate and its weight never changes, so the weight cells are
-    the non-root blocks, at most 2k of them when every fan-out is >= 2.
+    the non-root blocks, at most 2k of them when every fan-out is >= 2. The
+    id fields hold int64 (typecode ``q``), the others doubles.
     """
 
     def __init__(self, first_kid: list[int], kids: list[int], lo: list[int], hi: list[int],
                  k: int, lmax: int | float, depth: int):
-        self.first_kid = np.array(first_kid, dtype=np.int64)
-        self.kids = np.array(kids, dtype=np.int64)
-        self.lo = np.array(lo, dtype=np.int64)
-        self.hi = np.array(hi, dtype=np.int64)
-        self.capacity = (self.hi - self.lo + 1).astype(np.float64) * lmax
-        self.alpha = np.zeros(self.lo.shape[0])
-        self.weight = np.zeros(self.lo.shape[0])
+        self.first_kid = array("q", first_kid)
+        self.kids = array("q", kids)
+        self.lo = array("q", lo)
+        self.hi = array("q", hi)
+        self.capacity = array("d", [float(last - first + 1) * lmax
+                                    for first, last in zip(lo, hi)])
+        self.alpha = array("d", [0.0]) * len(lo)
+        self.weight = array("d", [0.0]) * len(lo)
         self.k = k
         self.lmax = lmax
         self.depth = depth
-        self.max_kids = int(self.kids.max())
+        self.max_kids = max(kids)
 
     @property
     def num_weight_cells(self) -> int:
-        return self.lo.shape[0] - 1
+        return len(self.lo) - 1
 
-    def leaf_weights(self, weight: np.ndarray) -> np.ndarray:
+    def leaf_weights(self, weight: array) -> list[float]:
         """Per PE, in PE order, the entry of ``weight`` (one per block) at its leaf."""
-        leaf = self.kids == 0
-        out = np.zeros(self.k)
-        out[self.lo[leaf] - 1] = weight[leaf]
+        out = [0.0] * self.k
+        for kids, lo, w in zip(self.kids, self.lo, weight):
+            if not kids:
+                out[lo - 1] = w
         return out
 
     def set_alphas(self, n: int, m: int) -> None:
         """Stamp per-block penalty constants for a graph with n nodes, m edges."""
-        self.alpha = global_alpha(n, m, self.k) / np.sqrt(self.hi - self.lo + 1)
+        alpha = global_alpha(n, m, self.k)
+        self.alpha = array("d", [alpha / math.sqrt(last - first + 1)
+                                 for first, last in zip(self.lo, self.hi)])
 
 
 def _split_sizes(t: int, parts: int) -> list[int]:

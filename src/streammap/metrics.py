@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ._native import library
+from ._native import address, library
 # open_stream and shared_level are no longer called here; perfbench's tracer
 # wraps them by these module paths, so they stay importable from this module
 from .graph_stream import CSR, open_chunks, open_stream  # noqa: F401
@@ -90,24 +91,25 @@ class QualitySums:
         self.n, self.k = n, k
         self._ell = hierarchy.ell if hierarchy is not None else 0
         # PEs per module at each level, shared_level's arithmetic
-        self._modules = (np.cumprod(hierarchy.levels, dtype=np.int64)
+        self._modules = (array("q", accumulate(hierarchy.levels, operator.mul))
                          if hierarchy is not None else None)
-        self._dist = (np.asarray(distances.distances, dtype=np.float64)
-                      if distances is not None else None)
-        self._sums = np.zeros(_LEVEL_CUT + self._ell + k)
-        self._floats = np.zeros(self._sums.shape[0], dtype=np.uint8)
+        self._dist = array("d", distances.distances) if distances is not None else None
+        self._sums = array("d", [0.0]) * (_LEVEL_CUT + self._ell + k)
+        self._floats = array("B", [0]) * len(self._sums)
         self._charge = library().charge_chunk
 
-    def charge(self, chunk: CSR, assignment: np.ndarray) -> None:
-        """Charges ``chunk``. ``assignment`` (int32, one PE in [1, k] per
-        node of the graph) must place its nodes and every node before them."""
+    def charge(self, chunk: CSR, assignment: array) -> None:
+        """Charges ``chunk``. ``assignment`` (int32, typecode ``i``, one PE
+        in [1, k] per node of the graph) must place its nodes and every node
+        before them."""
         node_bits, all_node = _bits(chunk.node_float)
         edge_bits, all_edge = _bits(chunk.edge_float)
         self._charge(
-            chunk.first, chunk.count, chunk.indptr.ctypes.data, chunk.adj.ctypes.data,
-            chunk.node_w.ctypes.data, node_bits, all_node, edge_bits, all_edge,
-            assignment.ctypes.data, self._ell, _pointer(self._modules), _pointer(self._dist),
-            self._sums.ctypes.data, self._floats.ctypes.data)
+            chunk.first, chunk.count, *map(address, (chunk.indptr, chunk.adj, chunk.adj_w,
+                                                     chunk.node_w)),
+            node_bits, all_node, edge_bits, all_edge, address(assignment), self._ell,
+            address(self._modules), address(self._dist), address(self._sums),
+            address(self._floats))
 
     def _value(self, i: int) -> int | float:
         x = float(self._sums[i])
@@ -120,7 +122,8 @@ class QualitySums:
     def report(self) -> QualityReport:
         """The quality of the nodes charged so far."""
         blocks = _LEVEL_CUT + self._ell
-        max_weight = self._value(blocks + int(self._sums[blocks:].argmax()))
+        loads = self._sums[blocks:]
+        max_weight = self._value(blocks + loads.index(max(loads)))
         return QualityReport(
             n=self.n,
             k=self.k,
@@ -139,16 +142,12 @@ class QualitySums:
 _NODE_TOTAL, _EDGE_TOTAL, _CUT, _COST, _LEVEL_CUT = range(5)
 
 
-def _bits(flag: bool | np.ndarray) -> tuple[int | None, bool]:
+def _bits(flag: bool | array) -> tuple[int | None, bool]:
     """A CSR float flag as charge_chunk takes it: per-weight bits, or NULL
     and the bit of every weight."""
     if isinstance(flag, bool):
         return None, flag
-    return flag.ctypes.data, False
-
-
-def _pointer(array: np.ndarray | None) -> int | None:
-    return array.ctypes.data if array is not None else None
+    return address(flag), False
 
 
 def evaluate(
@@ -170,24 +169,23 @@ def evaluate(
     n = header.n
     if len(assignment) != n:
         raise ValueError(f"assignment has {len(assignment)} slots, graph has {n} nodes")
-    if isinstance(assignment, np.ndarray):
-        labels = assignment
-    else:
+    labels = assignment
+    if not isinstance(labels, array) or labels.typecode != "i":
         try:
-            labels = np.fromiter(assignment, np.int64, n)
+            labels = array("q", assignment)
         except OverflowError:
             raise ValueError("a PE label lies outside the int64 range") from None
     if k is None:
-        k = hierarchy.k if hierarchy is not None else int(labels.max())
+        k = hierarchy.k if hierarchy is not None else max(labels)
     if k > K_LIMIT:
         raise ValueError(f"k={k} beyond supported {K_LIMIT}")
-    bad = (labels < 1) | (labels > k)
-    if bad.any():
-        node = int(bad.argmax())
-        if labels[node] == 0:
+    if min(labels) < 1 or max(labels) > k:
+        node, pe = next((i, pe) for i, pe in enumerate(labels) if not 1 <= pe <= k)
+        if pe == 0:
             raise ValueError(f"node {node} is unassigned")
-        raise ValueError(f"node {node} carries PE {labels[node]} outside [1, {k}]")
-    labels = np.ascontiguousarray(labels, dtype=np.int32)
+        raise ValueError(f"node {node} carries PE {pe} outside [1, {k}]")
+    if labels.typecode != "i":
+        labels = array("i", labels)
     sums = QualitySums(n, k, hierarchy, distances)
     for chunk in chunks:
         sums.charge(chunk, labels)

@@ -33,11 +33,10 @@ equivalence heavily, and it is what holds the kernel to the Python rule.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._native import library
+from ._native import address, library
 from .graph_stream import (
     CHUNK_NODES,
     GraphHeader,
@@ -123,11 +122,14 @@ class RunConfig:
 class PartitionResult:
     """Final placement, its quality, and run accounting.
 
+    ``assignment`` is an ``array.array`` of int32 (typecode ``i``), one
+    1-based PE id per node; ``np.frombuffer`` wraps it without a copy.
     ``assign_seconds`` times the pass without the quality charge, which
-    ``evaluate_seconds`` times.
+    ``evaluate_seconds`` times; ``tree_seconds`` times the tree's
+    construction when the driver built it.
     """
 
-    assignment: np.ndarray  # int32, one 1-based PE id per node
+    assignment: array
     k: int
     lmax: int | float
     total_weight: int | float
@@ -138,10 +140,11 @@ class PartitionResult:
     quality: QualityReport
     assign_seconds: float = 0.0
     evaluate_seconds: float = 0.0
+    tree_seconds: float = 0.0
 
     @property
     def n(self) -> int:
-        return int(self.assignment.shape[0])
+        return len(self.assignment)
 
     @property
     def max_leaf_weight(self) -> int | float:
@@ -191,9 +194,9 @@ def prepare_tree(
 
 def _result_from_tree(
     tree: MultiSectionTree,
-    assignment: list[int] | np.ndarray,
+    assignment: list[int] | array,
     total: int | float,
-    weight: np.ndarray,
+    weight: array,
     counters: RunCounters,
     config: RunConfig,
     mode: str,
@@ -201,8 +204,8 @@ def _result_from_tree(
     seconds: float,
     evaluate_seconds: float = 0.0,
 ) -> PartitionResult:
-    arr = np.asarray(assignment, dtype=np.int32)
-    if bool((arr == UNASSIGNED).any()):
+    arr = assignment if isinstance(assignment, array) else array("i", assignment)
+    if UNASSIGNED in arr:
         raise RuntimeError("pass ended with unassigned nodes")
     # block weights are ints when every node weight was an int token
     cast = type(total)
@@ -213,7 +216,7 @@ def _result_from_tree(
         total_weight=total,
         # a root-only tree (k=1) places every node on the root, whose weight
         # the drivers never update
-        leaf_weights=([cast(w) for w in tree.leaf_weights(weight).tolist()] if tree.depth
+        leaf_weights=([cast(w) for w in tree.leaf_weights(weight)] if tree.depth
                       else [total]),
         counters=counters,
         algorithm=config.algorithm,
@@ -245,31 +248,32 @@ def partition_oms(source, tree: MultiSectionTree, config: RunConfig,
     scored_levels = config.scored_levels(tree.depth)
     fennel = config.algorithm == "fennel"
     lib = library()
-    tree.weight[:] = 0.0
+    blocks = len(tree.weight)
+    tree.weight[:] = array("d", [0.0]) * blocks
     # each block's penalty term at weight 0: fennel's alpha * 1.5 * sqrt(0),
     # ldg's 1 - 0 / capacity; the kernel keeps it current as weights grow
-    term = np.full(tree.weight.shape[0], 0.0 if fennel else 1.0)
-    tree_args = (tree.first_kid.ctypes.data, tree.kids.ctypes.data, tree.lo.ctypes.data,
-                 tree.hi.ctypes.data, tree.capacity.ctypes.data, tree.alpha.ctypes.data,
-                 tree.weight.ctypes.data, term.ctypes.data, tree.max_kids, scored_levels,
-                 fennel, config.seed % 2**64)
-    counts = np.zeros(5, dtype=np.int64)  # RunCounters' fields, in order
+    term = array("d", [0.0 if fennel else 1.0]) * blocks
+    tree_args = (*map(address, (tree.first_kid, tree.kids, tree.lo, tree.hi, tree.capacity,
+                                tree.alpha, tree.weight, term)),
+                 tree.max_kids, scored_levels, fennel, config.seed % 2**64)
+    counts = array("q", [0]) * 5  # RunCounters' fields, in order
     started = time.perf_counter()
     # every reader checks that there are n records with neighbours in [0, n)
     header, chunks = open_chunks(source, chunk_nodes=CHUNK_NODES)
-    assignment = np.zeros(header.n, dtype=np.int32)
+    assignment = array("i", [0]) * header.n
     sums = QualitySums(header.n, tree.k, hierarchy, distances)
-    run_args = (assignment.ctypes.data, counts.ctypes.data)
+    run_args = (address(assignment), address(counts))
     charge_s = 0.0
     for chunk in chunks:
-        if lib.place_chunk(*tree_args, chunk.first, chunk.count, chunk.indptr.ctypes.data,
-                           chunk.adj.ctypes.data, chunk.node_w.ctypes.data, *run_args):
+        if lib.place_chunk(*tree_args, chunk.first, chunk.count,
+                           *map(address, (chunk.indptr, chunk.adj, chunk.adj_w, chunk.node_w)),
+                           *run_args):
             raise MemoryError("descent kernel could not allocate its scratch buffers")
         charged = time.perf_counter()
         sums.charge(chunk, assignment)
         charge_s += time.perf_counter() - charged
     seconds = time.perf_counter() - started - charge_s
-    counters = RunCounters(*(int(c) for c in counts))
+    counters = RunCounters(*counts)
     return _result_from_tree(tree, assignment, sums.total_node_weight, tree.weight, counters,
                              config, "oms", sums.report(), seconds, charge_s)
 
@@ -328,7 +332,7 @@ def multipass_reference(source, tree: MultiSectionTree, config: RunConfig) -> Pa
     lo = tree.lo.tolist()
     assignment = [lo[b] for b in current]
     quality = evaluate(source, assignment, k=tree.k)
-    return _result_from_tree(tree, assignment, total, np.array(weight, dtype=np.float64),
+    return _result_from_tree(tree, assignment, total, array("d", weight),
                              counters, config, "multipass", quality, seconds)
 
 
@@ -343,7 +347,9 @@ def partition_flat(source, k: int, config: RunConfig,
     being counted. ``hierarchy`` and ``distances`` only add to the charged
     quality, as for :func:`partition_oms`.
     """
+    started = time.perf_counter()
     tree, _ = prepare_tree(source, k=k, base=max(k, 2), eps=config.eps)
+    tree_seconds = time.perf_counter() - started
     result = partition_oms(source, tree, config, hierarchy, distances)
-    result.mode = "flat"
+    result.mode, result.tree_seconds = "flat", tree_seconds
     return result

@@ -45,7 +45,7 @@ def children(tree, b: int) -> range:
 
 def block_depths(tree) -> list[int]:
     """Depth of every block of ``tree``, by id; the root is at depth 0."""
-    depth = [0] * tree.kids.shape[0]
+    depth = [0] * len(tree.kids)
     # a child's id is always above its parent's
     for b in range(len(depth)):
         for c in children(tree, b):

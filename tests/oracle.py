@@ -120,7 +120,7 @@ def check_equivalence(
     """
     got = partition_oms(source, tree, config)
     want = multipass_reference(source, tree, reference_config or config)
-    mismatch = got.assignment != want.assignment
-    if not mismatch.any():
-        return True, None
-    return False, int(mismatch.argmax())
+    for node, (a, b) in enumerate(zip(got.assignment, want.assignment)):
+        if a != b:
+            return False, node
+    return True, None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -52,7 +53,21 @@ class TestPartition:
         payload = json.loads(report.read_text())
         assert payload["quality"]["k"] == 8
         assert payload["run"]["counters"]["score_evaluations"] == 400 * 8
-        assert set(payload["run"]["timings"]) == {"parse_s", "assign_s", "evaluate_s"}
+        assert set(payload["run"]["timings"]) == {"parse_s", "tree_s", "assign_s", "evaluate_s",
+                                                  "write_s"}
+
+    @pytest.mark.parametrize("argv", [["nh", "--k", "16"], ["partition", "--k", "8", "--preload"],
+                                      ["map", "--hierarchy", "4:2", "--distances", "1:10"]])
+    def test_timings_fit_in_the_job(self, graph_file, tmp_path, argv):
+        report = tmp_path / "r.json"
+        started = time.perf_counter()
+        assert main([*argv, "--input", str(graph_file), "--output", str(tmp_path / "p.part"),
+                     "--report", str(report)]) == 0
+        wall = time.perf_counter() - started
+        timings = json.loads(report.read_text())["run"]["timings"]
+        assert set(timings) == {"parse_s", "tree_s", "assign_s", "evaluate_s", "write_s"}
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert sum(timings.values()) <= wall
 
     def test_hashing_byte_identical_across_runs(self, graph_file, tmp_path):
         outs = []
@@ -175,6 +190,10 @@ class TestEval:
     @pytest.mark.parametrize("body, where", [
         ("1\n2\nx\n", "line 3: non-integer label 'x'"),
         ("1\n2\n", "file ends at line 2 with 2 labels, expected n=400"),
+        # labels are [0-9]+, though int() takes a sign, underscores and \f
+        ("+1\n", "line 1: non-integer label '+1'"),
+        ("1\n 1_0 \n", "line 2: non-integer label '1_0'"),
+        ("1\n2\n\f2\n", "line 3: non-integer label '\\x0c2'"),
     ])
     def test_bad_partition_file_is_format_error(self, graph_file, tmp_path, capsys,
                                                 body, where):
@@ -182,6 +201,16 @@ class TestEval:
         part.write_text(body, encoding="ascii")
         assert main(["eval", "--input", str(graph_file), "--partition", str(part)]) == 1
         assert f"{part}: {where}" in capsys.readouterr().err
+
+    def test_labels_keep_spaces_tabs_and_blank_lines_around_them(self, tmp_path):
+        graph = tmp_path / "t.graph"
+        graph.write_text("3 3\n2 3\n1 3\n1 2\n")
+        part = tmp_path / "p.part"
+        part.write_text(" 1\t\n\n\t 2 \r\n3")
+        report = tmp_path / "r.json"
+        assert main(["eval", "--input", str(graph), "--partition", str(part),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["quality"]["edge_cut"] == 3
 
     def test_report_types_follow_the_weight_tokens(self, tmp_path):
         # PE 1 holds int-token weights only, PE 3 float ones; the cut mixes an

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,44 @@ def test_golden_output(job, graphs, tmp_path):
     assert partition == want_partition
     assert quality == want_quality
     assert counters == want_counters
+
+
+# Runs CLI argument lists given as JSON in one process; prints their exit
+# codes and whether numpy was imported.
+_NUMPY_FREE = """
+import json, sys
+from streammap.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_jobs_import_no_numpy(graphs, tmp_path):
+    """partition, map, nh (streamed and preloaded) and eval, the commands that
+    read a graph to place or score it, run without numpy and write the golden
+    partitions and qualities."""
+    jobs = [job for job in JOBS if job[0] in (
+        "partition-k130-fennel-preload", "partition-k4-fennel-w", "nh-k130-ldg",
+        "nh-k130-fennel-preload", "map-4:16:2-fennel-preload")]
+    runs = []
+    for i, (_, graph, argv) in enumerate(jobs):
+        command, *flags = argv.split()
+        runs.append([command, "--input", graphs[graph], *flags, "--output",
+                     str(tmp_path / f"{i}.part"), "--report", str(tmp_path / f"{i}.json")])
+    mapped = len(jobs) - 1
+    runs.append(["eval", "--input", graphs["rgg"], "--partition", str(tmp_path / f"{mapped}.part"),
+                 "--hierarchy", "4:16:2", "--distances", "1:10:100",
+                 "--report", str(tmp_path / "eval.json")])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * len(runs), "numpy": False}
+    for i, job in enumerate(jobs):
+        quality = json.loads((tmp_path / f"{i}.json").read_text(encoding="ascii"))["quality"]
+        assert (_sha((tmp_path / f"{i}.part").read_bytes()), _sha(_canonical(quality))) == \
+            JOBS[job][:2], job[0]
+    quality = json.loads((tmp_path / "eval.json").read_text(encoding="ascii"))["quality"]
+    assert _sha(_canonical(quality)) == JOBS[jobs[mapped]][1]

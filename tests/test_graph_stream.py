@@ -361,8 +361,9 @@ def _joined(chunks) -> tuple[list, ...]:
     """One node list of each CSR field, over consecutive chunks."""
     degrees, adj, node_w, node_floats, edge_floats = [], [], [], [], []
     for c in chunks:
-        degrees += [int(d) for d in c.indptr[1:] - c.indptr[:-1]]
-        adj += c.adj[c.entries()].tolist()
+        bounds = c.indptr.tolist()
+        degrees += [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        adj += list(zip(c.adj[c.entries()].tolist(), c.adj_w[c.entries()].tolist()))
         node_w += c.node_w.tolist()
         node_floats += c.node_floats().tolist()
         edge_floats += c.edge_floats().tolist()
